@@ -194,7 +194,8 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
     ]
     results: dict[tuple[str, int], RunResult] = {}
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # A pool starts all its workers at once; never more than there are cells.
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(payloads))) as pool:
             for operator, run, res in pool.map(_run_cell, payloads):
                 results[(operator, run)] = res
     else:

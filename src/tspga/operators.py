@@ -5,6 +5,10 @@ All operators are pure: they never modify their input tours, and given the
 same inputs and the same stream state they produce the same output. Mutation
 points, cut points and probability draws can be supplied explicitly, which is
 the seam the hand-trace tests script.
+
+Each operator has one implementation, a kernel over rows of tours; the
+single-tour functions draw through the stream they are given and apply the
+kernel to one row, and variation applies it to a whole generation at once.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import numpy as np
 
 from .population import GaConfig, Population, fitness_of
 from .rng import RngStream
+
+# Elements (rows times cities) per block of crossed children: enough rows to
+# amortize numpy's per-call cost on short tours, few enough that a block's
+# temporaries stay in cache on long ones.
+_OX_BLOCK_ELEMENTS = 1 << 14
 
 
 def draw_mutation_points(n: int, rng: RngStream) -> tuple[int, int]:
@@ -51,6 +60,16 @@ def _unrank_pair(n: int, r: int, strict: bool) -> tuple[int, int]:
     return first, second
 
 
+def _draw_swaps(n: int, k: int, pm: float, rng: RngStream) -> tuple[list[int], list[int]]:
+    """Hits among k probability draws, and one partner in [0, n) per hit.
+
+    The k draws are consumed as one array, whatever pm, then the partners in
+    hit order. Returns (hit steps, partners), both ascending by step.
+    """
+    steps = (rng.random_array(k) < pm).nonzero()[0].tolist()
+    return steps, [rng.randint(0, n - 1) for _ in steps]
+
+
 def _resolve_points(n: int, pts, rng) -> tuple[int, int]:
     if pts is None:
         if rng is None:
@@ -69,6 +88,61 @@ def _check_probability(pm) -> float:
     return pm
 
 
+def _reverse_rows(tours: np.ndarray, a, b) -> None:
+    """In place: reverse tours[r, a[r]..b[r]] in every row r of a C-contiguous array."""
+    n = tours.shape[1]
+    a, b = np.asarray(a), np.asarray(b)
+    lengths = b - a + 1
+    # Element e of row r's segment has offset e - first[r] from its start.
+    first = np.cumsum(lengths) - lengths
+    row_base = np.arange(tours.shape[0]) * n
+    e = np.arange(first[-1] + lengths[-1])
+    flat = tours.reshape(-1)
+    src = np.repeat(row_base + b + first, lengths) - e
+    flat[np.repeat(row_base + a - first, lengths) + e] = flat[src]
+
+
+def _swap_rows(tours: np.ndarray, rows, i, j) -> None:
+    """In place: swap tours[rows[k], i[k]] with tours[rows[k], j[k]] for each k.
+
+    tours is C-contiguous and rows nondecreasing; each row's swaps apply in
+    list order. The m-th swaps of all rows touch distinct rows, so they apply
+    together.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        return
+    n = tours.shape[1]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    order = np.argsort(rank, kind="stable")
+    fi = (rows * n + np.asarray(i))[order]
+    fj = (rows * n + np.asarray(j))[order]
+    flat = tours.reshape(-1)
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        si, sj = fi[lo:hi], fj[lo:hi]
+        held = flat[si]
+        flat[si] = flat[sj]
+        flat[sj] = held
+        lo = hi
+
+
+def _hprm_swaps(a: int, b: int, steps, partners) -> tuple[list[int], list[int]]:
+    """HPRM's probabilistic swaps, moved after the segment's full reversal.
+
+    Pass s swaps the ends (a+s, b-s), then on a hit swaps a+s with its
+    partner j. Later passes reverse only positions strictly between a+s and
+    b-s, so the hit equals swapping a+s with j mirrored in [a, b] when j lies
+    there, applied after the whole reversal.
+    """
+    i, j = [], []
+    for s, p in zip(steps, partners):
+        head = a + s
+        i.append(head)
+        j.append(a + b - p if head < p < b - s else p)
+    return i, j
+
+
 def mutate_rsm(t, pts=None, rng: RngStream | None = None) -> np.ndarray:
     """Reverse the segment between two mutation points.
 
@@ -79,9 +153,9 @@ def mutate_rsm(t, pts=None, rng: RngStream | None = None) -> np.ndarray:
     """
     t = np.asarray(t)
     a, b = _resolve_points(t.shape[0], pts, rng)
-    out = t.copy()
-    out[a:b + 1] = t[a:b + 1][::-1]
-    return out
+    out = t[None].copy()
+    _reverse_rows(out, [a], [b])
+    return out[0]
 
 
 def mutate_psm(t, pm, rng: RngStream) -> np.ndarray:
@@ -95,13 +169,10 @@ def mutate_psm(t, pm, rng: RngStream) -> np.ndarray:
     pm = _check_probability(pm)
     t = np.asarray(t)
     n = t.shape[0]
-    out = t.copy()
-    hits = np.nonzero(rng.random_array(n) < pm)[0]
-    for i in hits:
-        i = int(i)
-        j = rng.randint(0, n - 1)
-        out[i], out[j] = out[j], out[i]
-    return out
+    steps, partners = _draw_swaps(n, n, pm, rng)
+    out = t[None].copy()
+    _swap_rows(out, [0] * len(steps), steps, partners)
+    return out[0]
 
 
 def mutate_hprm(t, pm, pts=None, rng: RngStream | None = None) -> np.ndarray:
@@ -120,20 +191,13 @@ def mutate_hprm(t, pm, pts=None, rng: RngStream | None = None) -> np.ndarray:
     t = np.asarray(t)
     n = t.shape[0]
     a, b = _resolve_points(n, pts, rng)
-    out = t.copy()
-    if pm == 0.0:
-        out[a:b + 1] = t[a:b + 1][::-1]
-        return out
-    passes = (b - a + 2) // 2
-    ps = rng.random_array(passes)
-    for step in range(passes):
-        out[a], out[b] = out[b], out[a]
-        if ps[step] < pm:
-            j = rng.randint(0, n - 1)
-            out[a], out[j] = out[j], out[a]
-        a += 1
-        b -= 1
-    return out
+    out = t[None].copy()
+    _reverse_rows(out, [a], [b])
+    if pm > 0.0:
+        steps, partners = _draw_swaps(n, (b - a + 2) // 2, pm, rng)
+        i, j = _hprm_swaps(a, b, steps, partners)
+        _swap_rows(out, [0] * len(i), i, j)
+    return out[0]
 
 
 def _resolve_cuts(n: int, cuts, rng) -> tuple[int, int]:
@@ -145,6 +209,37 @@ def _resolve_cuts(n: int, cuts, rng) -> tuple[int, int]:
     if not 0 <= c1 < c2 <= n - 1:
         raise ValueError(f"invalid cut points ({c1}, {c2}) for a tour of {n} cities")
     return c1, c2
+
+
+def _rotate_rows(tours: np.ndarray, shift) -> np.ndarray:
+    """New array whose row r is tours[r] rotated left by shift[r] (0..n)."""
+    m, n = tours.shape
+    doubled = np.concatenate((tours, tours), axis=1)
+    # Every length-n window of the doubled rows, without copying; row r's
+    # rotation is the window starting at shift[r] inside its doubled row.
+    step = doubled.itemsize
+    windows = np.ndarray((2 * m * n - n + 1, n), doubled.dtype, doubled, 0, (step, step))
+    return windows[np.arange(m) * (2 * n) + shift]
+
+
+def _ox_rows(p1: np.ndarray, p2: np.ndarray, c1, c2) -> np.ndarray:
+    """Order crossover of each row pair, worked in the frame rotated to c2+1.
+
+    Rotated left by c2+1, a child is its fill, p2's cities in scan order
+    minus the kept slice, followed by p1's slice, which ends the row.
+    """
+    m, n = p1.shape
+    start = (np.asarray(c2) + 1) % n
+    fill = (np.arange(n) < (n - 1 - np.asarray(c2) + np.asarray(c1))[:, None]).reshape(-1)
+    row_base = np.arange(m)[:, None] * n
+    child = _rotate_rows(p1, start)
+    scan = _rotate_rows(p2, start)
+    in_slice = np.empty(m * n, dtype=bool)
+    in_slice[(child + row_base).reshape(-1)] = ~fill
+    keep = in_slice[(scan + row_base).reshape(-1)]
+    np.logical_not(keep, out=keep)
+    child.reshape(-1)[fill] = scan.reshape(-1).compress(keep)
+    return _rotate_rows(child, n - start)
 
 
 def crossover_ox(p1, p2, cuts=None, rng: RngStream | None = None) -> np.ndarray:
@@ -160,18 +255,8 @@ def crossover_ox(p1, p2, cuts=None, rng: RngStream | None = None) -> np.ndarray:
     p2 = np.asarray(p2)
     if p1.shape != p2.shape:
         raise ValueError(f"parents differ in size: {p1.shape[0]} vs {p2.shape[0]}")
-    n = p1.shape[0]
-    c1, c2 = _resolve_cuts(n, cuts, rng)
-    child = np.empty_like(p1)
-    child[c1:c2 + 1] = p1[c1:c2 + 1]
-    used = np.zeros(n, dtype=bool)
-    used[p1[c1:c2 + 1]] = True
-    order = np.concatenate((p2[c2 + 1:], p2[:c2 + 1]))
-    fill = order[~used[order]]
-    tail = n - 1 - c2
-    child[c2 + 1:] = fill[:tail]
-    child[:c1] = fill[tail:]
-    return child
+    c1, c2 = _resolve_cuts(p1.shape[0], cuts, rng)
+    return _ox_rows(p1[None], p2[None], [c1], [c2])[0]
 
 
 def wheel_index(cum, u):
@@ -198,6 +283,21 @@ def select_roulette(pool: Population, rng: RngStream) -> int:
     return int(wheel_index(cum, rng.random()))
 
 
+def _block_words(size: int, n: int, op: str, pm: float) -> int:
+    """Expected raw words of one generation's draws; the block grows if short.
+
+    Per child: two parent draws, a gate, and the cut and point half-words,
+    plus the swap draws and about pm/2 partner words per swap draw.
+    """
+    if op == "PSM":
+        swap_draws = n
+    elif op == "HPRM" and pm > 0.0:
+        swap_draws = n // 6 + 1  # mean passes over a uniform segment
+    else:
+        swap_draws = 0
+    return int(size * (4 + swap_draws * (1.0 + pm / 2)))
+
+
 def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) -> Population:
     """One generation of offspring from an evaluated population.
 
@@ -208,9 +308,16 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
     population is not yet evaluated.
 
     Draw order per generation: 2N parent draws as one batch, N crossover
-    gates as one batch, then each child's cut and mutation draws in child
-    order. Batches advance the stream exactly as the equivalent scalar
+    gates as one batch, then per child in child order: its cut (crossed
+    children only), its mutation points (RSM, HPRM), its swap probability
+    draws as one batch (PSM; HPRM with mutation_rate > 0) and its swap
+    partners. Batches advance the stream exactly as the equivalent scalar
     sequence would, so replays are insensitive to the batching.
+
+    The draws are made first, served from one raw-word block of the stream
+    (RngStream.block), which yields the values numpy's own calls would;
+    exactness rests on numpy's word consumption, which tests/test_rng.py
+    pins. The operators are then applied to all children at once.
     """
     if not pop.evaluated:
         raise ValueError("variation needs an evaluated population")
@@ -218,24 +325,39 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
         raise ValueError(
             f"population dimension {pop.dimension} does not match matrix size {dm.shape[0]}"
         )
-    size = pop.size
+    size, n = pop.size, pop.dimension
+    op, pm = cfg.mutation_operator, cfg.mutation_rate
     cum = np.cumsum(fitness_of(pop.lengths))
-    parents = wheel_index(cum, rng.random_array(2 * size))
-    gates = rng.random_array(size)
-    children = np.empty_like(pop.tours)
-    op = cfg.mutation_operator
-    for i in range(size):
-        first = pop.tours[parents[2 * i]]
-        if gates[i] < cfg.crossover_rate:
-            second = pop.tours[parents[2 * i + 1]]
-            child = crossover_ox(first, second, rng=rng)
-        else:
-            child = first
-        if op == "RSM":
-            child = mutate_rsm(child, rng=rng)
-        elif op == "PSM":
-            child = mutate_psm(child, cfg.mutation_rate, rng)
-        else:
-            child = mutate_hprm(child, cfg.mutation_rate, rng=rng)
-        children[i] = child
+    cuts, points, rows, swap_i, swap_j = [], [], [], [], []
+    with rng.block(_block_words(size, n, op, pm)):
+        parents = wheel_index(cum, rng.random_array(2 * size))
+        crossed = rng.random_array(size) < cfg.crossover_rate
+        for child, cross in enumerate(crossed.tolist()):
+            if cross:
+                cuts.append(draw_cut_points(n, rng))
+            if op == "PSM":
+                i, j = _draw_swaps(n, n, pm, rng)
+            else:
+                a, b = draw_mutation_points(n, rng)
+                points.append((a, b))
+                if op == "RSM" or pm == 0.0:
+                    continue
+                i, j = _hprm_swaps(a, b, *_draw_swaps(n, (b - a + 2) // 2, pm, rng))
+            rows += [child] * len(i)
+            swap_i += i
+            swap_j += j
+
+    children = pop.tours[parents[0::2]]
+    crossed_rows = np.flatnonzero(crossed)
+    c1, c2 = np.array(cuts, dtype=np.intp).reshape(-1, 2).T
+    step = max(1, _OX_BLOCK_ELEMENTS // n)
+    for lo in range(0, crossed_rows.size, step):
+        block, hi = crossed_rows[lo:lo + step], lo + step
+        children[block] = _ox_rows(
+            pop.tours[parents[2 * block]], pop.tours[parents[2 * block + 1]], c1[lo:hi], c2[lo:hi]
+        )
+    if points:
+        a, b = np.array(points).T
+        _reverse_rows(children, a, b)
+    _swap_rows(children, rows, swap_i, swap_j)
     return Population(children)

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_U32 = 0xFFFFFFFF
+_U64 = 0xFFFFFFFFFFFFFFFF
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_DOUBLE_SCALE = 2.0**-53
 
 
 class RngStream:
@@ -13,32 +20,74 @@ class RngStream:
     determined by the seeds of the streams handed to it. ``random_array(k)``
     advances the stream exactly as ``k`` successive ``random()`` calls would,
     which lets hot loops batch their draws without changing replay behavior.
+
+    Inside ``with stream.block(words):`` the same methods are served from one
+    block of raw 64-bit words by replaying numpy's consumption rules, and the
+    generator is left exactly where the direct draws would have left it.
     """
 
     def __init__(self, seed):
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._block: _RawBlock | None = None
 
     def __repr__(self):
         return f"RngStream(seed={self.seed!r})"
 
     def random(self) -> float:
         """One uniform draw from [0, 1)."""
+        if self._block is not None:
+            return self._block.double()
         return float(self._gen.random())
 
     def random_array(self, k: int) -> np.ndarray:
         """``k`` uniform draws from [0, 1)."""
+        if self._block is not None:
+            return self._block.doubles(k)
         return self._gen.random(k)
 
     def randint(self, lo: int, hi: int) -> int:
         """One uniform integer from [lo, hi], both endpoints included."""
         if hi < lo:
             raise ValueError(f"empty integer range [{lo}, {hi}]")
+        if self._block is not None:
+            if lo < _INT64_MIN or hi > _INT64_MAX:
+                raise ValueError(f"integer range [{lo}, {hi}] is out of bounds for int64")
+            return lo + self._block.bounded(hi - lo)
         return int(self._gen.integers(lo, hi + 1))
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniformly random permutation of 0..n-1 (Fisher-Yates semantics)."""
+        if self._block is not None:
+            raise RuntimeError("permutation is not served inside a draw block")
         return self._gen.permutation(n)
+
+    @contextmanager
+    def block(self, words: int):
+        """Serve the draws of the ``with`` body from one raw-word block.
+
+        words is the expected number of 64-bit words the body consumes; the
+        block grows when the body needs more. Draws equal, value for value,
+        what the same calls would return outside the block. On exit, also on
+        an exception, the generator is left where those direct calls would
+        have left it: the saved state advanced by the words consumed, with
+        the replayed 32-bit half-word buffer. A nested block is the outer one.
+        """
+        if self._block is not None:
+            yield self
+            return
+        bitgen = self._gen.bit_generator
+        saved = bitgen.state
+        self._block = _RawBlock(bitgen, words, saved["has_uint32"], saved["uinteger"])
+        try:
+            yield self
+        finally:
+            blk, self._block = self._block, None
+            bitgen.state = saved
+            bitgen.advance(blk.pos)
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = int(blk.has_half), blk.half
+            bitgen.state = state
 
 
 def derive_stream(root_seed: int, *key: int) -> RngStream:
@@ -60,3 +109,82 @@ def derive_stream(root_seed: int, *key: int) -> RngStream:
         entropy=int(root_seed), spawn_key=tuple(int(k) for k in key)
     )
     return RngStream(seq)
+
+
+class _RawBlock:
+    """Replays numpy 2.x ``Generator`` draws from ``random_raw`` words.
+
+    A double is ``(word >> 11) * 2**-53``. An integer draw over a span
+    (high minus low) that fits 32 bits takes a half-word from the bit
+    generator's buffer, low half first with the high half kept, and applies
+    Lemire's multiply-and-reject, drawing the next half-word on a rejection.
+    Wider spans take full words the same way; a span of 0 consumes nothing.
+    See Lemire, "Fast Random Integer Generation in an Interval" (2019).
+    """
+
+    def __init__(self, bitgen, words: int, has_half, half):
+        self._bitgen = bitgen
+        self._raw = bitgen.random_raw(max(int(words), 1))
+        self._dbl = (self._raw >> 11) * _DOUBLE_SCALE
+        self.pos = 0
+        self.has_half = bool(has_half)
+        self.half = int(half)
+
+    def _reserve(self, k: int) -> int:
+        """Start of the next k words, growing the block when it is short."""
+        p = self.pos
+        if p + k > self._raw.size:
+            extra = self._bitgen.random_raw(max(k, self._raw.size))
+            self._raw = np.concatenate((self._raw, extra))
+            self._dbl = np.concatenate((self._dbl, (extra >> 11) * _DOUBLE_SCALE))
+        self.pos = p + k
+        return p
+
+    def _word(self) -> int:
+        p = self._reserve(1)  # before reading self._raw, which may grow
+        return self._raw.item(p)
+
+    def double(self) -> float:
+        p = self._reserve(1)
+        return self._dbl.item(p)
+
+    def doubles(self, k: int) -> np.ndarray:
+        p = self._reserve(int(k))
+        return self._dbl[p:p + k].copy()
+
+    def _half_word(self) -> int:
+        if self.has_half:
+            self.has_half = False
+            return self.half
+        p = self.pos
+        if p < self._raw.size:
+            self.pos = p + 1
+            word = self._raw.item(p)
+        else:
+            word = self._word()
+        self.has_half, self.half = True, word >> 32
+        return word & _U32
+
+    def bounded(self, span: int) -> int:
+        """Offset in [0, span], consumed as numpy's bounded integer draw."""
+        if span == 0:
+            return 0
+        if span < _U32:
+            excl = span + 1
+            m = self._half_word() * excl
+            if m & _U32 < excl:
+                threshold = (_U32 - span) % excl
+                while m & _U32 < threshold:
+                    m = self._half_word() * excl
+            return m >> 32
+        if span == _U32:
+            return self._half_word()
+        if span == _U64:
+            return self._word()
+        excl = span + 1
+        m = self._word() * excl
+        if m & _U64 < excl:
+            threshold = (_U64 - span) % excl
+            while m & _U64 < threshold:
+                m = self._word() * excl
+        return m >> 64

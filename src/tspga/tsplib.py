@@ -7,6 +7,7 @@ the conversion happens here and only here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,10 @@ def parse_instance(text: str) -> Instance:
     """Parse TSPLIB instance text into an Instance.
 
     Requires DIMENSION, EDGE_WEIGHT_TYPE: EUC_2D and a NODE_COORD_SECTION
-    with one "index x y" line per city, 1-based indices, terminated by an
-    EOF keyword or the end of the text. Header keys not understood (COMMENT
-    and friends) are ignored. Errors name the 1-based line number.
+    with one "index x y" line per city, 1-based indices and finite
+    coordinates, terminated by an EOF keyword or the end of the text.
+    Header keys not understood (COMMENT and friends) are ignored. Errors
+    name the 1-based line number.
     """
     name = ""
     dimension: int | None = None
@@ -108,6 +110,8 @@ def parse_instance(text: str) -> Instance:
             y = float(parts[2])
         except ValueError:
             raise TsplibParseError(f"line {lineno}: non-numeric coordinate line {line!r}") from None
+        if not (isfinite(x) and isfinite(y)):
+            raise TsplibParseError(f"line {lineno}: non-finite coordinate in {line!r}")
         if not 1 <= idx <= dimension:
             raise TsplibParseError(f"line {lineno}: city index {idx} outside 1..{dimension}")
         if idx in coords:

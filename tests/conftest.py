@@ -1,6 +1,7 @@
 """Shared fixtures, the scripted RNG test double and the CLI subprocess environment."""
 
 import os
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,10 @@ class ScriptedRng:
         value = self.ints.pop(0)
         assert lo <= value <= hi, f"scripted draw {value} outside [{lo}, {hi}]"
         return value
+
+    def block(self, words):
+        # Scripted values need no raw-word block; draws stay in queue order.
+        return nullcontext(self)
 
     def exhausted(self):
         return not self.reals and not self.ints

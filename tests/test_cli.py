@@ -75,6 +75,16 @@ def test_unparseable_instance_is_exit_1(tmp_path):
     assert proc.returncode == 1
 
 
+def test_non_finite_coordinates_are_exit_1_in_one_line(tmp_path):
+    bad = tmp_path / "nan.tsp"
+    bad.write_text(TRIANGLE_TSP.replace("1 0 0", "1 nan 0").replace("3 0 4", "3 0 inf"))
+    proc = run_cli("solve", str(bad), "--seed", "1", "--pop", "4", "--generations", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "line 6: non-finite" in proc.stderr
+
+
 # ---------------------------------------------------------------- solve
 
 def test_solve_replays_exactly(triangle_file):

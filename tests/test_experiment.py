@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tspga.data
+import tspga.experiment
 from tspga import (
     ExperimentConfig,
     GaConfig,
@@ -225,6 +226,34 @@ def test_parallel_jobs_match_sequential(tmp_path):
     for name in ("convergence.csv", "report.json"):
         assert (tmp_path / "seq" / "out" / name).read_bytes() == \
                (tmp_path / "par" / "out" / name).read_bytes()
+
+
+def test_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch):
+    # A process pool starts every worker it is sized for, so --jobs above the
+    # cell count must not reach it. The fake runs cells in-process.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(tspga.experiment, "ProcessPoolExecutor", InlinePool)
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path / "seq", ga=ga))
+    run_comparison(_config(tmp_path / "wide", ga=ga, jobs=64))
+    assert sizes == [6]  # 3 operators x 2 runs
+    for name in ("convergence.csv", "report.json"):
+        assert (tmp_path / "seq" / "out" / name).read_bytes() == \
+               (tmp_path / "wide" / "out" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Replay determinism and stream derivation."""
 
 import numpy as np
+import pytest
 
 from tspga import RngStream, derive_stream
 
@@ -79,3 +80,126 @@ def test_derive_stream_is_order_independent():
     _ = derive_stream(7, 1, 1).random_array(3)
     a_again = derive_stream(7, 1, 0).random_array(3)
     assert np.array_equal(a_first, a_again)
+
+
+# ---------------------------------------------------------------- block mode
+#
+# RngStream.block serves draws by replaying numpy's consumption of raw words.
+# These tests pin that replay against numpy's own draws, so a numpy release
+# that consumes words differently fails here instead of changing reports.
+
+# Numbers of values per integer draw: 2**31 + 1 rejects about half of its
+# 32-bit draws, so the rejection path always runs; 2**32 and up take numpy's
+# full-word paths, where 2**63 + 1 rejects about half of its words.
+RANGES = [1, 2, 52, 1378, 12_502_500, 2**31 + 1, 2**32, 2**40 + 3, 2**63 + 1, 2**64]
+
+
+def _low(meta, size):
+    # Ranges wider than 2**63 fit int64 only when they start at its minimum.
+    return -(2**63) if size > 2**63 else int(meta.integers(-3, 4))
+
+
+def _random_calls(meta, count, ranges=RANGES):
+    calls = []
+    for _ in range(count):
+        kind = int(meta.integers(3))
+        if kind == 0:
+            calls.append(("random",))
+        elif kind == 1:
+            calls.append(("random_array", int(meta.integers(0, 9))))
+        else:
+            size = ranges[int(meta.integers(len(ranges)))]
+            lo = _low(meta, size)
+            calls.append(("randint", lo, lo + size - 1))
+    return calls
+
+
+def _draw(rng, calls):
+    out = []
+    for name, *args in calls:
+        value = getattr(rng, name)(*args)
+        out.append(value.tolist() if name == "random_array" else value)
+    return out
+
+
+def _state(rng):
+    return rng._gen.bit_generator.state
+
+
+@pytest.mark.parametrize("buffer_full", [False, True])
+def test_block_draws_equal_direct_draws(buffer_full):
+    meta = np.random.default_rng(2024)
+    for trial in range(150):
+        calls = _random_calls(meta, int(meta.integers(1, 40)))
+        direct, blocked = RngStream(trial), RngStream(trial)
+        if buffer_full:  # a 32-bit draw leaves the high half-word buffered
+            assert direct.randint(0, 9) == blocked.randint(0, 9)
+        assert _state(blocked)["has_uint32"] == int(buffer_full)
+        expected = _draw(direct, calls)
+        with blocked.block(int(meta.integers(0, 30))):  # too small blocks grow
+            got = _draw(blocked, calls)
+        assert got == expected, calls
+        assert _state(blocked) == _state(direct)
+        assert blocked.random() == direct.random()
+        assert blocked.randint(0, 51) == direct.randint(0, 51)
+
+
+@pytest.mark.parametrize("size", RANGES)
+def test_block_integer_range_runs_of_one_size(size):
+    lo = _low(np.random.default_rng(size % 1000), size)
+    direct, blocked = RngStream(size % 1000), RngStream(size % 1000)
+    expected = [direct.randint(lo, lo + size - 1) for _ in range(400)]
+    with blocked.block(50):
+        got = [blocked.randint(lo, lo + size - 1) for _ in range(400)]
+    assert got == expected
+    assert _state(blocked) == _state(direct)
+
+
+def test_block_half_rejection_range_consumes_extra_words():
+    # Lemire rejection at 2**31 + 1 values redraws about half the time, so 400
+    # draws use far more than the 200 words of 400 half-words.
+    rng = RngStream(3)
+    before = RngStream(3)._gen.bit_generator
+    with rng.block(10):
+        for _ in range(400):
+            rng.randint(0, 2**31)
+    for used in range(1, 1000):
+        before.random_raw(1)
+        if before.state["state"] == _state(rng)["state"]:
+            break
+    assert 300 < used < 999
+
+
+def test_block_commits_the_draws_made_before_an_exception():
+    direct, blocked = RngStream(8), RngStream(8)
+    expected = [direct.random(), direct.randint(0, 99)]
+    with pytest.raises(KeyError):
+        with blocked.block(4):
+            got = [blocked.random(), blocked.randint(0, 99)]
+            raise KeyError("stop")
+    assert got == expected
+    assert _state(blocked) == _state(direct)
+
+
+def test_block_refuses_permutation_and_bad_ranges():
+    rng = RngStream(4)
+    with rng.block(8):
+        with pytest.raises(RuntimeError):
+            rng.permutation(5)
+        with pytest.raises(ValueError):
+            rng.randint(3, 2)
+        with pytest.raises(ValueError):
+            rng.randint(0, 2**63)
+    assert _state(rng) == _state(RngStream(4))
+
+
+def test_nested_block_is_the_outer_block():
+    direct, blocked = RngStream(6), RngStream(6)
+    expected = [direct.random(), direct.randint(0, 9), direct.random()]
+    with blocked.block(2):
+        got = [blocked.random()]
+        with blocked.block(2):
+            got.append(blocked.randint(0, 9))
+        got.append(blocked.random())
+    assert got == expected
+    assert _state(blocked) == _state(direct)

@@ -74,6 +74,16 @@ def test_duplicate_city_index_rejected():
         parse_instance(TRIANGLE_TSP.replace("2 3 0", "1 3 0"))
 
 
+@pytest.mark.parametrize("old,new,line", [
+    ("1 0 0", "1 nan 0", 6),
+    ("3 0 4", "3 0 inf", 8),
+    ("2 3 0", "2 -inf 0", 7),
+])
+def test_non_finite_coordinate_rejected(old, new, line):
+    with pytest.raises(TsplibParseError, match=f"line {line}: non-finite"):
+        parse_instance(TRIANGLE_TSP.replace(old, new))
+
+
 def test_triangle_distance_matrix(triangle_dm):
     assert triangle_dm.tolist() == [[0, 3, 4], [3, 0, 5], [4, 5, 0]]
 
