@@ -156,12 +156,7 @@ class _RawBlock:
         if self.has_half:
             self.has_half = False
             return self.half
-        p = self.pos
-        if p < self._raw.size:
-            self.pos = p + 1
-            word = self._raw.item(p)
-        else:
-            word = self._word()
+        word = self._word()
         self.has_half, self.half = True, word >> 32
         return word & _U32
 
