@@ -19,6 +19,7 @@ from tspga import (
     build_distance_matrix,
     evolve,
     init_population,
+    render_tour,
     run_comparison,
 )
 from tspga.cli import main
@@ -103,3 +104,56 @@ def test_evolve_trace_and_best_tour_are_golden(large_dm, operator, pm):
     trace = repr([(r.generation, r.best_so_far, r.gen_best, r.gen_mean) for r in result.trace])
     digest = _sha(trace.encode() + result.best_tour.astype("<i8").tobytes())
     assert digest == EVOLVE_DIGESTS[(operator, pm)]
+
+
+# ---------------------------------------------------------------- distance matrix and validate
+
+DM_DIGESTS = {
+    "berlin52": "cee59c78d79425575eaca496358d32e5741eee67cb7eaee0686d8261bf43e5ff",
+    5000: "b0afa82b9106b32668a1e31955e3d1ef6dc893c3fc4f35ebf5483793d5e30137",
+}
+
+# Instance size -> digest of the validate stdout of VALIDATE_TOURS seeded tours.
+VALIDATE_DIGESTS = {
+    2000: "a54f4b4e31b0080b335314390813423e28073ad3edcfbc361b500dc5bf2280fa",
+    5000: "3702f86e226c285bbdab18cac6a39744394dc5c27b0278004aa19c7d707488f9",
+}
+VALIDATE_TOURS = 3
+
+
+def _synthetic_instance(n):
+    # One decimal keeps the written text an exact image of the array.
+    coords = np.random.default_rng([2012, n]).uniform(0.0, 10_000.0, size=(n, 2)).round(1)
+    return Instance("synthetic", n, coords)
+
+
+def _instance_text(inst):
+    head = [f"NAME: {inst.name}", "TYPE: TSP", f"DIMENSION: {inst.dimension}",
+            "EDGE_WEIGHT_TYPE: EUC_2D", "NODE_COORD_SECTION"]
+    body = [f"{i} {x!r} {y!r}" for i, (x, y) in enumerate(inst.coords.tolist(), 1)]
+    return "\n".join(head + body + ["EOF"]) + "\n"
+
+
+def test_berlin52_distance_matrix_is_golden(berlin52):
+    digest = _sha(build_distance_matrix(berlin52).astype("<i8").tobytes())
+    assert digest == DM_DIGESTS["berlin52"]
+
+
+def test_large_distance_matrix_is_golden():
+    # At n=5000 the matrix is built in hundreds of row blocks.
+    digest = _sha(build_distance_matrix(_synthetic_instance(5000)).astype("<i8").tobytes())
+    assert digest == DM_DIGESTS[5000]
+
+
+@pytest.mark.parametrize("n", sorted(VALIDATE_DIGESTS))
+def test_validate_stdout_is_golden(tmp_path, capsys, n):
+    inst_path = tmp_path / "synthetic.tsp"
+    inst_path.write_text(_instance_text(_synthetic_instance(n)), encoding="utf-8")
+    rng = np.random.default_rng([77, n])
+    out = []
+    for k in range(VALIDATE_TOURS):
+        tour_path = tmp_path / f"t{k}.tour"
+        tour_path.write_text(render_tour(rng.permutation(n)), encoding="utf-8")
+        assert main(["validate", str(inst_path), str(tour_path)]) == 0
+        out.append(capsys.readouterr().out)
+    assert _sha("".join(out).encode()) == VALIDATE_DIGESTS[n]
