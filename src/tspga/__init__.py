@@ -45,6 +45,7 @@ from .tsplib import (
     InvalidTourError,
     TsplibParseError,
     build_distance_matrix,
+    closed_tour_length,
     is_permutation,
     load_instance,
     load_tour,
@@ -72,6 +73,7 @@ __all__ = [
     "TraceRecord",
     "TsplibParseError",
     "build_distance_matrix",
+    "closed_tour_length",
     "crossover_ox",
     "derive_stream",
     "draw_cut_points",

@@ -21,9 +21,9 @@ from .tsplib import (
     InvalidTourError,
     TsplibParseError,
     build_distance_matrix,
+    closed_tour_length,
     load_instance,
     load_tour,
-    tour_length,
 )
 
 _CONFIG_KEYS = {
@@ -223,7 +223,7 @@ def cmd_validate(args) -> int:
     except OSError as e:
         print(f"tspga: cannot read {args.tour}: {e}", file=sys.stderr)
         return 1
-    print(tour_length(build_distance_matrix(inst), tour))
+    print(closed_tour_length(inst, tour))
     return 0
 
 

@@ -9,6 +9,7 @@ makes the comparison paired rather than merely same-budget.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -172,7 +173,9 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
 
     Writes convergence.csv and report.json into output_dir and returns the
     report. Identical configs produce byte-identical files; neither file
-    carries wall-clock content.
+    carries wall-clock content. Both files are written to temporaries in
+    output_dir and renamed into place once both are complete, so a run that
+    fails leaves the previous pair untouched.
     """
     inst = load_instance(cfg.instance_path)
     dm = build_distance_matrix(inst)
@@ -203,9 +206,6 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
             operator, run, res = _run_cell(payload)
             results[(operator, run)] = res
 
-    csv_name = "convergence.csv"
-    emit_convergence_csv({key: res.trace for key, res in results.items()}, out_dir / csv_name)
-
     summaries = []
     for operator in cfg.operators:
         finals = [results[(operator, run)].best_length for run in range(cfg.runs)]
@@ -226,6 +226,7 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
             )
         )
 
+    csv_name = "convergence.csv"
     report_name = "report.json"
     report = ComparisonReport(
         instance=inst.name,
@@ -237,7 +238,16 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
         convergence_csv=csv_name,
         report_file=report_name,
     )
-    (out_dir / report_name).write_text(_report_json(report), encoding="utf-8")
+    report_text = _report_json(report)
+    staged = [out_dir / f".{name}.{os.getpid()}.tmp" for name in (csv_name, report_name)]
+    try:
+        emit_convergence_csv({key: res.trace for key, res in results.items()}, staged[0])
+        staged[1].write_text(report_text, encoding="utf-8")
+        for tmp, name in zip(staged, (csv_name, report_name)):
+            os.replace(tmp, out_dir / name)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
     return report
 
 

@@ -2,12 +2,18 @@
 
 File indices are 1-based on disk and 0-based everywhere inside the package;
 the conversion happens here and only here.
+
+The EUC_2D distance, floor(sqrt(dx**2 + dy**2) + 0.5), is defined once, in
+_euc_2d, and has two users that give the same integers for the same pair:
+build_distance_matrix, whose matrix the GA gathers from, and
+closed_tour_length, which scores one tour from consecutive coordinates in
+O(n) time and memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import hypot, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +52,16 @@ class Instance:
         object.__setattr__(self, "coords", coords)
         if self.edge_weight_kind != "EUC_2D":
             raise TsplibParseError(f"unsupported edge weight kind {self.edge_weight_kind!r}")
+        # No edge exceeds the bounding-box diagonal plus one, so this keeps
+        # every closed tour's length below the int64 limit. Python floats
+        # overflow to inf without a warning.
+        (x0, y0), (x1, y1) = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+        diagonal = hypot(x1 - x0, y1 - y0)
+        if not self.dimension * (diagonal + 1.0) < 2.0**63:
+            raise TsplibParseError(
+                f"coordinates span {diagonal:.6g}; a {self.dimension}-city tour length "
+                "could overflow 64 bits"
+            )
 
 
 def parse_instance(text: str) -> Instance:
@@ -136,17 +152,40 @@ def load_instance(path: str | Path) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def build_distance_matrix(inst: Instance) -> np.ndarray:
-    """Pairwise distances as an (n, n) int64 array, read-only.
+# Elements per row block of build_distance_matrix: the float temporaries of
+# a block stay small, whatever n is.
+_DM_BLOCK_ELEMENTS = 2**16
+
+
+def _euc_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """TSPLIB EUC_2D distances of coordinate differences, computed in dx.
 
     Euclidean distance rounded to the nearest integer with ties going up
     (the rule under which berlin52's optimal tour measures exactly 7542).
-    Symmetric with a zero diagonal by construction.
+    Overwrites dx and dy; returns dx, whose floats hold whole numbers.
     """
-    xy = inst.coords
-    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
-    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
-    d = np.floor(np.sqrt(dx * dx + dy * dy) + 0.5).astype(np.int64)
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    np.add(dx, dy, out=dx)
+    np.sqrt(dx, out=dx)
+    np.add(dx, 0.5, out=dx)
+    return np.floor(dx, out=dx)
+
+
+def build_distance_matrix(inst: Instance) -> np.ndarray:
+    """Pairwise EUC_2D distances as an (n, n) int64 array, read-only.
+
+    Symmetric with a zero diagonal by construction. Filled in row blocks of
+    about _DM_BLOCK_ELEMENTS elements, so the memory beyond the matrix
+    itself does not grow with n.
+    """
+    x, y = inst.coords[:, 0], inst.coords[:, 1]
+    n = inst.dimension
+    d = np.empty((n, n), dtype=np.int64)
+    rows = max(1, _DM_BLOCK_ELEMENTS // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        d[start:stop] = _euc_2d(x[start:stop, None] - x, y[start:stop, None] - y)
     d.setflags(write=False)
     return d
 
@@ -173,6 +212,21 @@ def tour_length(dm: np.ndarray, tour) -> int:
     if not is_permutation(t, n):
         raise ValueError(f"tour is not a permutation of 0..{n - 1}")
     return int(dm[t[:-1], t[1:]].sum() + dm[t[-1], t[0]])
+
+
+def closed_tour_length(inst: Instance, tour) -> int:
+    """Length of the closed tour, scored from the coordinates in O(n).
+
+    Equal to tour_length(build_distance_matrix(inst), tour) without
+    building the matrix.
+    """
+    t = np.asarray(tour)
+    n = inst.dimension
+    if not is_permutation(t, n):
+        raise ValueError(f"tour is not a permutation of 0..{n - 1}")
+    xy = inst.coords[t]
+    step = np.roll(xy, -1, axis=0) - xy
+    return int(_euc_2d(step[:, 0], step[:, 1]).astype(np.int64).sum())
 
 
 def tour_lengths(dm: np.ndarray, tours) -> np.ndarray:

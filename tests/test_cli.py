@@ -1,9 +1,11 @@
 """End-to-end command-line tests through real subprocesses."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import TRIANGLE_TSP, cli_env
 
@@ -83,6 +85,60 @@ def test_non_finite_coordinates_are_exit_1_in_one_line(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert "line 6: non-finite" in proc.stderr
+
+
+@pytest.mark.parametrize("x", ["1e300", "4e18"])
+def test_coordinates_that_can_overflow_are_exit_1_in_one_line(tmp_path, x):
+    bad = tmp_path / "wide.tsp"
+    bad.write_text(f"DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 {x} 0\n2 -{x} 0\nEOF\n")
+    tour = tmp_path / "two.tour"
+    tour.write_text("TOUR_SECTION\n1\n2\n-1\n")
+    proc = run_cli("validate", str(bad), str(tour))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "overflow" in proc.stderr
+
+
+_REPORT_PEAK_RSS = """\
+import resource, sys
+from tspga.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def _euc_2d_exact(dx, dy):
+    # floor(sqrt(s) + 0.5) in integers: the largest k with (2k - 1)**2 <= 4s.
+    return (math.isqrt(4 * (dx * dx + dy * dy)) + 1) // 2
+
+
+def test_validate_50k_cities_in_bounded_memory(tmp_path):
+    # The 50,000-city distance matrix alone would take 20 GB.
+    n = 50_000
+    rng = np.random.default_rng(50_000)
+    coords = rng.integers(0, 1_000_000, size=(n, 2)).tolist()
+    order = rng.permutation(n).tolist()
+    inst = tmp_path / "big.tsp"
+    inst.write_text(
+        f"DIMENSION: {n}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+        + "".join(f"{i} {x} {y}\n" for i, (x, y) in enumerate(coords, 1)) + "EOF\n"
+    )
+    tour = tmp_path / "big.tour"
+    tour.write_text("TOUR_SECTION\n" + "".join(f"{c + 1}\n" for c in order) + "-1\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_PEAK_RSS, "validate", str(inst), str(tour)],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    length, peak_kb = proc.stdout.split()
+    expected = sum(
+        _euc_2d_exact(coords[a][0] - coords[b][0], coords[a][1] - coords[b][1])
+        for a, b in zip(order, order[1:] + order[:1])
+    )
+    assert int(length) == expected
+    assert int(peak_kb) < 300 * 1024  # ru_maxrss is in KiB on Linux
 
 
 # ---------------------------------------------------------------- solve

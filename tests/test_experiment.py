@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -254,6 +255,30 @@ def test_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch):
     for name in ("convergence.csv", "report.json"):
         assert (tmp_path / "seq" / "out" / name).read_bytes() == \
                (tmp_path / "wide" / "out" / name).read_bytes()
+
+
+def _fail_report_json(report):
+    raise RuntimeError("simulated crash while rendering the report")
+
+
+def _fail_replace(src, dst):
+    raise OSError("simulated failed rename")
+
+
+@pytest.mark.parametrize("owner,attr,failure", [
+    (tspga.experiment, "_report_json", _fail_report_json),
+    (os, "replace", _fail_replace),
+], ids=["report", "rename"])
+def test_failed_run_leaves_previous_outputs_intact(tmp_path, monkeypatch, owner, attr, failure):
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path, ga=ga))
+    out = tmp_path / "out"
+    before = {name: (out / name).read_bytes() for name in ("convergence.csv", "report.json")}
+    monkeypatch.setattr(owner, attr, failure)
+    with pytest.raises((RuntimeError, OSError), match="simulated"):
+        run_comparison(_config(tmp_path, ga=ga, root_seed=100))
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no temporaries left
 
 
 @pytest.mark.parametrize(

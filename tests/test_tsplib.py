@@ -5,10 +5,12 @@ import pytest
 
 import tspga.data
 from tspga import (
+    Instance,
     InvalidTourError,
     RngStream,
     TsplibParseError,
     build_distance_matrix,
+    closed_tour_length,
     is_permutation,
     load_tour,
     parse_instance,
@@ -18,6 +20,11 @@ from tspga import (
     tour_lengths,
 )
 from conftest import TRIANGLE_TSP
+
+
+def _instance(coords):
+    coords = np.asarray(coords, dtype=float)
+    return Instance("test", len(coords), coords)
 
 
 def test_parse_minimal_triangle(triangle):
@@ -84,6 +91,19 @@ def test_non_finite_coordinate_rejected(old, new, line):
         parse_instance(TRIANGLE_TSP.replace(old, new))
 
 
+@pytest.mark.parametrize("x", ["1e300", "4e18"])
+def test_coordinates_that_can_overflow_a_tour_length_rejected(x):
+    text = f"DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 {x} 0\n2 -{x} 0\nEOF\n"
+    with pytest.raises(TsplibParseError, match="overflow"):
+        parse_instance(text)
+
+
+def test_widest_accepted_span_scores_without_overflow():
+    inst = _instance([(-2e18, 0.0), (2e18, 0.0)])
+    assert closed_tour_length(inst, [0, 1]) == 8 * 10**18
+    assert tour_length(build_distance_matrix(inst), [0, 1]) == 8 * 10**18
+
+
 def test_triangle_distance_matrix(triangle_dm):
     assert triangle_dm.tolist() == [[0, 3, 4], [3, 0, 5], [4, 5, 0]]
 
@@ -134,6 +154,33 @@ def test_tour_length_rejects_non_permutations(triangle_dm):
         tour_length(triangle_dm, [0, 1])
     with pytest.raises(ValueError):
         tour_length(triangle_dm, [0, 1, 3])
+
+
+@pytest.mark.parametrize("n", [2, 3, 52, 2000])
+def test_closed_tour_length_agrees_with_matrix(n):
+    rng = np.random.default_rng(n)
+    inst = _instance(rng.uniform(0.0, 10_000.0, size=(n, 2)).round(1))
+    dm = build_distance_matrix(inst)
+    for _ in range(5):
+        tour = rng.permutation(n)
+        assert closed_tour_length(inst, tour) == tour_length(dm, tour)
+
+
+def test_closed_tour_length_of_berlin52_optimum(berlin52, berlin52_dm):
+    tour = load_tour(tspga.data.BERLIN52_OPT_TOUR, dimension=berlin52.dimension)
+    assert closed_tour_length(berlin52, tour) == tour_length(berlin52_dm, tour) == 7542
+
+
+@pytest.mark.parametrize("tie,length", [(1.5, 4), (2.5, 6)])
+def test_closed_tour_length_rounds_half_ties_up(tie, length):
+    inst = _instance([(0.0, 0.0), (tie, 0.0)])
+    assert closed_tour_length(inst, [0, 1]) == tour_length(build_distance_matrix(inst), [0, 1]) == length
+
+
+def test_closed_tour_length_rejects_non_permutations(triangle):
+    for tour in ([0, 1, 1], [0, 1], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            closed_tour_length(triangle, tour)
 
 
 def test_tour_length_invariant_under_rotation_and_reversal(berlin52_dm):
