@@ -377,6 +377,41 @@ def test_variation_requires_evaluated_population(berlin52_dm):
         variation(pop, GaConfig(population_size=5), berlin52_dm, RngStream(67))
 
 
+def _variation_one_child_at_a_time(pop, cfg, rng):
+    """variation written out with the public single-tour operators."""
+    size = pop.size
+    cum = np.cumsum(fitness_of(pop.lengths))
+    parents = wheel_index(cum, rng.random_array(2 * size))
+    crossed = rng.random_array(size) < cfg.crossover_rate
+    children = []
+    for child in range(size):
+        p1, p2 = pop.tours[parents[2 * child]], pop.tours[parents[2 * child + 1]]
+        t = crossover_ox(p1, p2, rng=rng) if crossed[child] else p1.copy()
+        if cfg.mutation_operator == "RSM":
+            t = mutate_rsm(t, rng=rng)
+        elif cfg.mutation_operator == "PSM":
+            t = mutate_psm(t, cfg.mutation_rate, rng)
+        else:
+            t = mutate_hprm(t, cfg.mutation_rate, rng=rng)
+        children.append(t)
+    return np.stack(children)
+
+
+@pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
+@pytest.mark.parametrize("pm", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("seed", [70, 71, 72, 73, 74])
+def test_variation_equals_single_tour_operators(berlin52_dm, operator, pm, seed):
+    # One implementation: a generation equals the public operators applied
+    # child by child on the same stream, which both leave at the same point.
+    pop = _evaluated_population(seed, 20, berlin52_dm)
+    cfg = GaConfig(population_size=20, crossover_rate=0.7, mutation_rate=pm,
+                   mutation_operator=operator)
+    batched, manual = RngStream(seed), RngStream(seed)
+    children = variation(pop, cfg, berlin52_dm, batched)
+    assert np.array_equal(children.tours, _variation_one_child_at_a_time(pop, cfg, manual))
+    assert batched._gen.bit_generator.state == manual._gen.bit_generator.state
+
+
 def test_variation_rsm_applied_to_every_child(berlin52_dm):
     # RSM takes no probability: every child gets one reversal, consuming
     # exactly one point draw per child and no mutation gate draws.
