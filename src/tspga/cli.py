@@ -13,7 +13,14 @@ import secrets
 import sys
 from pathlib import Path
 
-from .experiment import ExperimentConfig, emit_convergence_csv, format_summary_table, run_comparison
+from .experiment import (
+    CONVERGENCE_CSV,
+    REPORT_JSON,
+    ExperimentConfig,
+    emit_convergence_csv,
+    format_summary_table,
+    run_comparison,
+)
 from .ga import evolve
 from .population import GaConfig, init_population
 from .rng import RngStream
@@ -31,18 +38,22 @@ _CONFIG_KEYS = {
     "elitism", "seed", "runs", "out", "jobs", "trace",
 }
 
-# (flag dest, config key, GaConfig field, cast)
+# (flag dest and config key, GaConfig field, type)
 _GA_FLAGS = (
-    ("pop", "pop", "population_size", int),
-    ("generations", "generations", "max_generations", int),
-    ("pm", "pm", "mutation_rate", float),
-    ("crossover_rate", "crossover_rate", "crossover_rate", float),
-    ("elitism", "elitism", "elitism_count", int),
+    ("pop", "population_size", int),
+    ("generations", "max_generations", int),
+    ("pm", "mutation_rate", float),
+    ("crossover_rate", "crossover_rate", float),
+    ("elitism", "elitism_count", int),
 )
 
 
-class _ConfigError(ValueError):
-    pass
+class _Failure(Exception):
+    """A failure main reports as one 'tspga: ...' line and exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
@@ -97,61 +108,78 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise _ConfigError(f"cannot read config {path}: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise _Failure(2, f"cannot read config {path}: {e}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise _ConfigError(f"config {path} is not valid JSON: {e}") from None
+        raise _Failure(2, f"config {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
-        raise _ConfigError(f"config {path} must hold a JSON object")
+        raise _Failure(2, f"config {path} must hold a JSON object")
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
-        raise _ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
+        raise _Failure(2, f"config {path} has unknown keys: {', '.join(unknown)}")
     return doc
 
 
-def _pick(flag_value, config: dict, key: str, default):
+def _pick(flag_value, config: dict, key: str, default, cast=str):
+    """The flag's value, else the config's read as that flag's text, else default.
+
+    A config value is a JSON string or number, and means what its text
+    would mean given to the flag.
+    """
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise _Failure(2, f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
+    try:
+        return cast(str(value))
+    except ValueError:
+        raise _Failure(2, f"config key {key!r}: invalid {cast.__name__} value {value!r}") from None
 
 
-def _ga_config(args, config: dict, operator, seed: int = 0) -> GaConfig:
-    kwargs = {"seed": seed}
-    for dest, key, field, cast in _GA_FLAGS:
-        value = _pick(getattr(args, dest), config, key, None)
+def _ga_config(args, config: dict, operator) -> GaConfig:
+    kwargs = {}
+    for key, field, cast in _GA_FLAGS:
+        value = _pick(getattr(args, key), config, key, None, cast)
         if value is not None:
-            kwargs[field] = cast(value)
+            kwargs[field] = value
     if operator is not None:
         kwargs["mutation_operator"] = operator
-    return GaConfig(**kwargs)
+    try:
+        return GaConfig(**kwargs)
+    except ValueError as e:
+        raise _Failure(2, str(e)) from None
 
 
 def _resolve_seed(args, config: dict) -> int:
-    value = _pick(args.seed, config, "seed", None)
-    if value is None:
+    seed = _pick(args.seed, config, "seed", None, int)
+    if seed is None:
         return secrets.randbits(64)
-    return int(value)
+    if not 0 <= seed < 2**64:
+        raise _Failure(2, "seed must be an unsigned 64-bit integer")
+    return seed
+
+
+def _load(loader, path, **kwargs):
+    """loader(path, **kwargs), its file and parse errors as exit codes."""
+    try:
+        return loader(path, **kwargs)
+    except InvalidTourError as e:
+        raise _Failure(3, f"{path}: {e}") from None
+    except TsplibParseError as e:
+        raise _Failure(1, f"{path}: {e}") from None
+    except OSError as e:
+        raise _Failure(1, f"cannot read {path}: {e}") from None
 
 
 def cmd_solve(args, config: dict) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except TsplibParseError as e:
-        print(f"tspga: {args.instance}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"tspga: cannot read {args.instance}: {e}", file=sys.stderr)
-        return 1
+    inst = _load(load_instance, args.instance)
     seed = _resolve_seed(args, config)
-    try:
-        ga = _ga_config(args, config, _pick(args.operator, config, "operator", None), seed)
-    except ValueError as e:
-        print(f"tspga: {e}", file=sys.stderr)
-        return 2
+    ga = _ga_config(args, config, _pick(args.operator, config, "operator", None))
     print(f"seed {seed}", flush=True)
 
     dm = build_distance_matrix(inst)
@@ -163,66 +191,46 @@ def cmd_solve(args, config: dict) -> int:
         try:
             emit_convergence_csv({(ga.mutation_operator, 0): result.trace}, trace_path)
         except OSError as e:
-            print(f"tspga: cannot write {trace_path}: {e}", file=sys.stderr)
-            return 1
+            raise _Failure(1, f"cannot write {trace_path}: {e}") from None
     print(f"best_length {result.best_length}")
     print("best_tour " + " ".join(str(int(c)) for c in result.best_tour))
     return 0
 
 
 def cmd_compare(args, config: dict) -> int:
-    raw = _pick(args.operators, config, "operators", "rsm,psm,hprm")
-    parts = raw if isinstance(raw, (list, tuple)) else [p for p in str(raw).split(",") if p.strip()]
+    operators = _pick(args.operators, config, "operators", "rsm,psm,hprm")
     seed = _resolve_seed(args, config)
+    ga = _ga_config(args, config, None)
+    out = _pick(args.out, config, "out", "compare_out")
+    runs = _pick(args.runs, config, "runs", 50, int)
+    jobs = _pick(args.jobs, config, "jobs", 1, int)
     try:
-        ga = _ga_config(args, config, None)
         ecfg = ExperimentConfig(
             ga=ga,
-            operators=tuple(str(p).strip() for p in parts),
+            operators=tuple(p.strip() for p in operators.split(",") if p.strip()),
             instance_path=args.instance,
-            output_dir=str(_pick(args.out, config, "out", "compare_out")),
+            output_dir=out,
             root_seed=seed,
-            runs=int(_pick(args.runs, config, "runs", 50)),
-            jobs=int(_pick(args.jobs, config, "jobs", 1)),
+            runs=runs,
+            jobs=jobs,
         )
     except ValueError as e:
-        print(f"tspga: {e}", file=sys.stderr)
-        return 2
+        raise _Failure(2, str(e)) from None
     print(f"root_seed {seed}", flush=True)
     try:
         report = run_comparison(ecfg)
     except TsplibParseError as e:
-        print(f"tspga: {args.instance}: {e}", file=sys.stderr)
-        return 1
+        raise _Failure(1, f"{args.instance}: {e}") from None
     except OSError as e:
-        print(f"tspga: {e}", file=sys.stderr)
-        return 1
+        raise _Failure(1, str(e)) from None
     print(format_summary_table(report))
-    out = Path(ecfg.output_dir)
-    print(f"wrote {out / report.convergence_csv} and {out / report.report_file}", file=sys.stderr)
+    print(f"wrote {Path(out) / CONVERGENCE_CSV} and {Path(out) / REPORT_JSON}", file=sys.stderr)
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except TsplibParseError as e:
-        print(f"tspga: {args.instance}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"tspga: cannot read {args.instance}: {e}", file=sys.stderr)
-        return 1
-    try:
-        tour = load_tour(args.tour, dimension=inst.dimension)
-    except InvalidTourError as e:
-        print(f"tspga: {args.tour}: {e}", file=sys.stderr)
-        return 3
-    except TsplibParseError as e:
-        print(f"tspga: {args.tour}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"tspga: cannot read {args.tour}: {e}", file=sys.stderr)
-        return 1
+    inst = _load(load_instance, args.instance)
+    tour = _load(load_tour, args.tour, dimension=inst.dimension)
     print(closed_tour_length(inst, tour))
     return 0
 
@@ -231,11 +239,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config) if getattr(args, "config", None) else {}
-    except _ConfigError as e:
+        if args.command == "solve":
+            return cmd_solve(args, config)
+        if args.command == "compare":
+            return cmd_compare(args, config)
+        return cmd_validate(args)
+    except _Failure as e:
         print(f"tspga: {e}", file=sys.stderr)
-        return 2
-    if args.command == "solve":
-        return cmd_solve(args, config)
-    if args.command == "compare":
-        return cmd_compare(args, config)
-    return cmd_validate(args)
+        return e.code

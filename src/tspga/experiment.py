@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ _INIT_STREAM = 0
 _EVOLVE_STREAM = 1
 
 CSV_HEADER = "operator,run,generation,best_so_far,gen_best,gen_mean"
+CONVERGENCE_CSV = "convergence.csv"
+REPORT_JSON = "report.json"
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class ExperimentConfig:
     """A full comparison: which operators, how many paired runs, where to.
 
     ga is the template configuration; its mutation_operator is overridden
-    per arm and its seed is unused (all streams derive from root_seed).
+    per arm, and all streams derive from root_seed.
     Run indices are 0-based and are the stream-derivation keys, so any
     reported run can be replayed from (root_seed, run) alone.
     """
@@ -72,13 +74,11 @@ class SummaryStats:
     stddev: float
 
 
-@dataclass(frozen=True)
-class OperatorSummary:
+@dataclass(frozen=True, kw_only=True)
+class OperatorSummary(SummaryStats):
+    """One arm's statistics, its mean generations to best and every final best."""
+
     operator: str
-    best: int
-    worst: int
-    mean: float
-    stddev: float
     mean_generations_to_best: float
     final_bests: tuple[int, ...]
 
@@ -90,9 +90,6 @@ class ComparisonReport:
     root_seed: int
     ga: GaConfig
     operators: tuple[OperatorSummary, ...]
-    output_dir: str
-    convergence_csv: str
-    report_file: str
 
 
 def summarize(final_bests) -> SummaryStats:
@@ -213,37 +210,29 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
             generations_to_best(results[(operator, run)], init_bests[run])
             for run in range(cfg.runs)
         ]
-        stats = summarize(finals)
         summaries.append(
             OperatorSummary(
+                **asdict(summarize(finals)),
                 operator=operator,
-                best=stats.best,
-                worst=stats.worst,
-                mean=stats.mean,
-                stddev=stats.stddev,
                 mean_generations_to_best=float(np.mean(to_best)),
                 final_bests=tuple(finals),
             )
         )
 
-    csv_name = "convergence.csv"
-    report_name = "report.json"
     report = ComparisonReport(
         instance=inst.name,
         runs=cfg.runs,
         root_seed=cfg.root_seed,
         ga=cfg.ga,
         operators=tuple(summaries),
-        output_dir=str(out_dir),
-        convergence_csv=csv_name,
-        report_file=report_name,
     )
     report_text = _report_json(report)
-    staged = [out_dir / f".{name}.{os.getpid()}.tmp" for name in (csv_name, report_name)]
+    names = (CONVERGENCE_CSV, REPORT_JSON)
+    staged = [out_dir / f".{name}.{os.getpid()}.tmp" for name in names]
     try:
         emit_convergence_csv({key: res.trace for key, res in results.items()}, staged[0])
         staged[1].write_text(report_text, encoding="utf-8")
-        for tmp, name in zip(staged, (csv_name, report_name)):
+        for tmp, name in zip(staged, names):
             os.replace(tmp, out_dir / name)
     finally:
         for tmp in staged:
@@ -256,24 +245,11 @@ def _report_json(report: ComparisonReport) -> str:
         "instance": report.instance,
         "runs": report.runs,
         "root_seed": report.root_seed,
-        "config": {
-            "population_size": report.ga.population_size,
-            "max_generations": report.ga.max_generations,
-            "crossover_rate": report.ga.crossover_rate,
-            "mutation_rate": report.ga.mutation_rate,
-            "elitism_count": report.ga.elitism_count,
-        },
+        "config": {key: value for key, value in asdict(report.ga).items() if key != "mutation_operator"},
         "operators_order": list(op.operator for op in report.operators),
-        "convergence_csv": report.convergence_csv,
+        "convergence_csv": CONVERGENCE_CSV,
         "operators": {
-            s.operator: {
-                "best": s.best,
-                "worst": s.worst,
-                "mean": s.mean,
-                "stddev": s.stddev,
-                "mean_generations_to_best": s.mean_generations_to_best,
-                "final_bests": list(s.final_bests),
-            }
+            s.operator: {key: value for key, value in asdict(s).items() if key != "operator"}
             for s in report.operators
         },
     }

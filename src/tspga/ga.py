@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import variation, wheel_index
-from .population import GaConfig, Population, evaluate, fitness_of
+from .operators import _wheel, variation, wheel_index
+from .population import GaConfig, Population, evaluate
 from .rng import RngStream
 
 
@@ -79,8 +79,7 @@ def evolve(cfg: GaConfig, dm: np.ndarray, initial: Population, rng: RngStream) -
             chosen.append(np.argsort(merged_lengths, kind="stable")[:cfg.elitism_count])
         remainder = cfg.population_size - cfg.elitism_count
         if remainder:
-            cum = np.cumsum(fitness_of(merged_lengths))
-            chosen.append(wheel_index(cum, rng.random_array(remainder)))
+            chosen.append(wheel_index(_wheel(merged_lengths), rng.random_array(remainder)))
         sel = np.concatenate(chosen)
         pop = Population(merged_tours[sel], merged_lengths[sel])
 

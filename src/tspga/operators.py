@@ -6,9 +6,10 @@ same inputs and the same stream state they produce the same output. Mutation
 points, cut points and probability draws can be supplied explicitly, which is
 the seam the hand-trace tests script.
 
-Each operator has one implementation, a kernel over rows of tours; the
-single-tour functions draw through the stream they are given and apply the
-kernel to one row, and variation applies it to a whole generation at once.
+Each operator has one implementation, a kernel over rows of tours, and the
+draws are planned in one place: variation plans and applies a whole
+generation at once, and the single-tour functions plan and apply one row
+through the stream they are given.
 """
 
 from __future__ import annotations
@@ -70,14 +71,20 @@ def _draw_swaps(n: int, k: int, pm: float, rng: RngStream) -> tuple[list[int], l
     return steps, [rng.randint(0, n - 1) for _ in steps]
 
 
-def _resolve_points(n: int, pts, rng) -> tuple[int, int]:
-    if pts is None:
+def _resolve_pair(n: int, pair, rng, strict: bool) -> tuple[int, int]:
+    """Checked (first, second) of a tour of n cities, drawn when pair is None.
+
+    strict pairs are crossover cuts (first < second); others are mutation
+    points (first <= second).
+    """
+    kind = "cut" if strict else "mutation"
+    if pair is None:
         if rng is None:
-            raise ValueError("either mutation points or an rng must be supplied")
-        return draw_mutation_points(n, rng)
-    a, b = int(pts[0]), int(pts[1])
-    if not 0 <= a <= b <= n - 1:
-        raise ValueError(f"invalid mutation points ({a}, {b}) for a tour of {n} cities")
+            raise ValueError(f"either {kind} points or an rng must be supplied")
+        return (draw_cut_points if strict else draw_mutation_points)(n, rng)
+    a, b = int(pair[0]), int(pair[1])
+    if not (0 <= a <= b - strict and b <= n - 1):
+        raise ValueError(f"invalid {kind} points ({a}, {b}) for a tour of {n} cities")
     return a, b
 
 
@@ -143,6 +150,46 @@ def _hprm_swaps(a: int, b: int, steps, partners) -> tuple[list[int], list[int]]:
     return i, j
 
 
+def _plan(n: int, op: str, pm: float, crossed, rng, pts=None):
+    """Every child's draws after the parents and gates, in variation's order.
+
+    Mutation points are pts when given. Nothing is applied: returns (cuts,
+    points, rows, swap_i, swap_j), the cuts of the crossed children, every
+    child's points (RSM, HPRM) and the swaps of each child's row in order.
+    """
+    cuts, points, rows, swap_i, swap_j = [], [], [], [], []
+    for child, cross in enumerate(crossed):
+        if cross:
+            cuts.append(draw_cut_points(n, rng))
+        if op == "PSM":
+            i, j = _draw_swaps(n, n, pm, rng)
+        else:
+            a, b = draw_mutation_points(n, rng) if pts is None else pts
+            points.append((a, b))
+            if op == "RSM" or pm == 0.0:
+                continue
+            i, j = _hprm_swaps(a, b, *_draw_swaps(n, (b - a + 2) // 2, pm, rng))
+        rows += [child] * len(i)
+        swap_i += i
+        swap_j += j
+    return cuts, points, rows, swap_i, swap_j
+
+
+def _apply(tours: np.ndarray, points, rows, swap_i, swap_j) -> None:
+    """In place: a plan's segment reversals, then its swaps."""
+    if points:
+        a, b = np.array(points).T
+        _reverse_rows(tours, a, b)
+    _swap_rows(tours, rows, swap_i, swap_j)
+
+
+def _mutate_one(t, op: str, pm: float, pts, rng) -> np.ndarray:
+    """One tour mutated as an uncrossed child of a generation."""
+    out = np.asarray(t)[None].copy()
+    _apply(out, *_plan(out.shape[1], op, pm, [False], rng, pts)[1:])
+    return out[0]
+
+
 def mutate_rsm(t, pts=None, rng: RngStream | None = None) -> np.ndarray:
     """Reverse the segment between two mutation points.
 
@@ -151,11 +198,7 @@ def mutate_rsm(t, pts=None, rng: RngStream | None = None) -> np.ndarray:
     the tour unchanged, and applying the same points twice restores the
     input. Consumes no probability draws.
     """
-    t = np.asarray(t)
-    a, b = _resolve_points(t.shape[0], pts, rng)
-    out = t[None].copy()
-    _reverse_rows(out, [a], [b])
-    return out[0]
+    return _mutate_one(t, "RSM", 0.0, _resolve_pair(np.shape(t)[0], pts, rng, strict=False), rng)
 
 
 def mutate_psm(t, pm, rng: RngStream) -> np.ndarray:
@@ -166,13 +209,7 @@ def mutate_psm(t, pm, rng: RngStream) -> np.ndarray:
     are consumed regardless of pm, batched as one array, with partner draws
     following in position order.
     """
-    pm = _check_probability(pm)
-    t = np.asarray(t)
-    n = t.shape[0]
-    steps, partners = _draw_swaps(n, n, pm, rng)
-    out = t[None].copy()
-    _swap_rows(out, [0] * len(steps), steps, partners)
-    return out[0]
+    return _mutate_one(t, "PSM", _check_probability(pm), None, rng)
 
 
 def mutate_hprm(t, pm, pts=None, rng: RngStream | None = None) -> np.ndarray:
@@ -188,27 +225,7 @@ def mutate_hprm(t, pm, pts=None, rng: RngStream | None = None) -> np.ndarray:
     when a == b.
     """
     pm = _check_probability(pm)
-    t = np.asarray(t)
-    n = t.shape[0]
-    a, b = _resolve_points(n, pts, rng)
-    out = t[None].copy()
-    _reverse_rows(out, [a], [b])
-    if pm > 0.0:
-        steps, partners = _draw_swaps(n, (b - a + 2) // 2, pm, rng)
-        i, j = _hprm_swaps(a, b, steps, partners)
-        _swap_rows(out, [0] * len(i), i, j)
-    return out[0]
-
-
-def _resolve_cuts(n: int, cuts, rng) -> tuple[int, int]:
-    if cuts is None:
-        if rng is None:
-            raise ValueError("either cut points or an rng must be supplied")
-        return draw_cut_points(n, rng)
-    c1, c2 = int(cuts[0]), int(cuts[1])
-    if not 0 <= c1 < c2 <= n - 1:
-        raise ValueError(f"invalid cut points ({c1}, {c2}) for a tour of {n} cities")
-    return c1, c2
+    return _mutate_one(t, "HPRM", pm, _resolve_pair(np.shape(t)[0], pts, rng, strict=False), rng)
 
 
 def _rotate_rows(tours: np.ndarray, shift) -> np.ndarray:
@@ -255,7 +272,7 @@ def crossover_ox(p1, p2, cuts=None, rng: RngStream | None = None) -> np.ndarray:
     p2 = np.asarray(p2)
     if p1.shape != p2.shape:
         raise ValueError(f"parents differ in size: {p1.shape[0]} vs {p2.shape[0]}")
-    c1, c2 = _resolve_cuts(p1.shape[0], cuts, rng)
+    c1, c2 = _resolve_pair(p1.shape[0], cuts, rng, strict=True)
     return _ox_rows(p1[None], p2[None], [c1], [c2])[0]
 
 
@@ -271,6 +288,17 @@ def wheel_index(cum, u):
     return np.minimum(idx, cum.size - 1)
 
 
+def _wheel(lengths: np.ndarray) -> np.ndarray:
+    """Cumulative roulette weights of tour lengths, for wheel_index.
+
+    Weights are fitness_of(lengths). When some tours have length 0 (every
+    city at one point), they share the wheel equally, the limit of 1/L, and
+    the others get no weight.
+    """
+    zero = lengths == 0
+    return np.cumsum(zero if zero.any() else fitness_of(lengths), dtype=float)
+
+
 def select_roulette(pool: Population, rng: RngStream) -> int:
     """Fitness-proportionate choice of one index into the pool.
 
@@ -279,8 +307,7 @@ def select_roulette(pool: Population, rng: RngStream) -> int:
     """
     if pool.lengths is None:
         raise ValueError("roulette selection needs cached lengths; call evaluate first")
-    cum = np.cumsum(fitness_of(pool.lengths))
-    return int(wheel_index(cum, rng.random()))
+    return int(wheel_index(_wheel(pool.lengths), rng.random()))
 
 
 def _block_words(size: int, n: int, op: str, pm: float) -> int:
@@ -327,25 +354,10 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
         )
     size, n = pop.size, pop.dimension
     op, pm = cfg.mutation_operator, cfg.mutation_rate
-    cum = np.cumsum(fitness_of(pop.lengths))
-    cuts, points, rows, swap_i, swap_j = [], [], [], [], []
     with rng.block(_block_words(size, n, op, pm)):
-        parents = wheel_index(cum, rng.random_array(2 * size))
+        parents = wheel_index(_wheel(pop.lengths), rng.random_array(2 * size))
         crossed = rng.random_array(size) < cfg.crossover_rate
-        for child, cross in enumerate(crossed.tolist()):
-            if cross:
-                cuts.append(draw_cut_points(n, rng))
-            if op == "PSM":
-                i, j = _draw_swaps(n, n, pm, rng)
-            else:
-                a, b = draw_mutation_points(n, rng)
-                points.append((a, b))
-                if op == "RSM" or pm == 0.0:
-                    continue
-                i, j = _hprm_swaps(a, b, *_draw_swaps(n, (b - a + 2) // 2, pm, rng))
-            rows += [child] * len(i)
-            swap_i += i
-            swap_j += j
+        cuts, *mutation = _plan(n, op, pm, crossed.tolist(), rng)
 
     children = pop.tours[parents[0::2]]
     crossed_rows = np.flatnonzero(crossed)
@@ -356,8 +368,5 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
         children[block] = _ox_rows(
             pop.tours[parents[2 * block]], pop.tours[parents[2 * block + 1]], c1[lo:hi], c2[lo:hi]
         )
-    if points:
-        a, b = np.array(points).T
-        _reverse_rows(children, a, b)
-    _swap_rows(children, rows, swap_i, swap_j)
+    _apply(children, *mutation)
     return Population(children)

@@ -36,7 +36,6 @@ class GaConfig:
     mutation_rate: float = 0.05
     elitism_count: int = 1
     mutation_operator: str = "HPRM"
-    seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 1:
@@ -50,8 +49,6 @@ class GaConfig:
         if not 0 <= self.elitism_count < self.population_size:
             raise ValueError("elitism_count must lie in [0, population_size)")
         object.__setattr__(self, "mutation_operator", normalize_operator(self.mutation_operator))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 @dataclass

@@ -148,8 +148,15 @@ def parse_instance(text: str) -> Instance:
     return Instance(name=name, dimension=dimension, coords=ordered, edge_weight_kind=weight_type)
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise TsplibParseError(f"not UTF-8 text: {e}") from None
+
+
 def load_instance(path: str | Path) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    return parse_instance(_read_text(path))
 
 
 # Elements per row block of build_distance_matrix: the float temporaries of
@@ -296,7 +303,7 @@ def parse_tour(text: str, dimension: int | None = None) -> np.ndarray:
 
 
 def load_tour(path: str | Path, dimension: int | None = None) -> np.ndarray:
-    return parse_tour(Path(path).read_text(encoding="utf-8"), dimension=dimension)
+    return parse_tour(_read_text(path), dimension=dimension)
 
 
 def render_tour(tour, name: str = "tour") -> str:

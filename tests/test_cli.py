@@ -1,15 +1,18 @@
-"""End-to-end command-line tests through real subprocesses."""
+"""End-to-end command-line tests, through real subprocesses and in-process."""
 
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import TRIANGLE_TSP, cli_env
 
 import tspga.data
+from tspga import TsplibParseError, load_instance, load_tour
+from tspga.cli import main
 
 BERLIN = str(tspga.data.BERLIN52_TSP)
 OPT_TOUR = str(tspga.data.BERLIN52_OPT_TOUR)
@@ -100,11 +103,14 @@ def test_coordinates_that_can_overflow_are_exit_1_in_one_line(tmp_path, x):
     assert "overflow" in proc.stderr
 
 
+# The process's own peak resident set. ru_maxrss would not do: on Linux it
+# keeps the peak of the test process that started this one.
 _REPORT_PEAK_RSS = """\
-import resource, sys
+import re, sys
 from tspga.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as f:
+    print(re.search(r"^VmHWM:\\s*(\\d+) kB", f.read(), re.M).group(1))
 sys.exit(code)
 """
 
@@ -138,7 +144,56 @@ def test_validate_50k_cities_in_bounded_memory(tmp_path):
         for a, b in zip(order, order[1:] + order[:1])
     )
     assert int(length) == expected
-    assert int(peak_kb) < 300 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(peak_kb) < 300 * 1024
+
+
+# Bytes a fuzz edit inserts: digits, signs, separators, keywords' letters,
+# and bytes that are not UTF-8.
+_FUZZ_BYTES = b"0123456789-+.eE: \t\nDIMENSIONTOURSECaf\xff\xc3\x00"
+
+
+def _fuzz_edit(data: bytes, rng) -> bytes:
+    """data with one to three seeded edits: delete, insert, replace or splice."""
+    b = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        pos = int(rng.integers(0, len(b) + 1))
+        byte = _FUZZ_BYTES[int(rng.integers(0, len(_FUZZ_BYTES)))]
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            del b[pos:pos + 1]
+        elif kind == 1:
+            b.insert(pos, byte)
+        elif kind == 2:
+            b[pos:pos + 1] = bytes([byte])
+        else:
+            start = int(rng.integers(0, len(b) + 1))
+            b[pos:pos] = b[start:start + int(rng.integers(1, 40))]
+    return bytes(b)
+
+
+@pytest.mark.parametrize("target", ["instance", "tour"])
+def test_validate_fuzzed_inputs_fail_cleanly(tmp_path, capsys, target):
+    # Every edit either parses or raises TsplibParseError, and validate ends
+    # in exit 0, 1 or 3 with one line on stderr, never a traceback.
+    rng = np.random.default_rng(["instance", "tour"].index(target))
+    paths = {"instance": BERLIN, "tour": OPT_TOUR}
+    original = Path(paths[target]).read_bytes()
+    fuzzed = paths[target] = tmp_path / f"fuzzed.{target}"
+    load = load_instance if target == "instance" else (lambda path: load_tour(path, dimension=52))
+    codes = set()
+    for _ in range(800):
+        fuzzed.write_bytes(_fuzz_edit(original, rng))
+        try:
+            load(fuzzed)
+        except TsplibParseError:
+            pass
+        code = main(["validate", str(paths["instance"]), str(paths["tour"])])
+        out, err = capsys.readouterr()
+        codes.add(code)
+        assert code in (0, 1, 3)
+        assert err.count("\n") == (code != 0)
+        assert (out == "") == (code != 0)
+    assert codes == ({0, 1} if target == "instance" else {0, 1, 3})
 
 
 # ---------------------------------------------------------------- solve
@@ -175,6 +230,18 @@ def test_solve_without_seed_prints_replayable_seed(triangle_file):
     replay = run_cli("solve", triangle_file, "--pop", "6", "--generations", "4",
                      "--seed", head[1])
     assert replay.stdout == first.stdout
+
+
+ZERO_LENGTH_TSP = TRIANGLE_TSP.replace("2 3 0", "2 0 0").replace("3 0 4", "3 0 0")
+
+
+def test_solve_zero_length_instance(tmp_path):
+    # Every tour has length 0: the roulette weights them all equally.
+    inst = tmp_path / "point.tsp"
+    inst.write_text(ZERO_LENGTH_TSP)
+    proc = run_cli("solve", str(inst), "--seed", "4", "--pop", "6", "--generations", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "best_length 0"
 
 
 def test_solve_trace_writes_csv(tmp_path, triangle_file):
@@ -231,6 +298,52 @@ def test_config_file_sets_values_and_flags_override(tmp_path, triangle_file):
     assert len(trace_b.read_text().splitlines()) == 1 + 3  # flag wins
 
 
+def test_config_value_means_its_text_as_a_flag(tmp_path, triangle_file):
+    cfg = tmp_path / "ga.json"
+    cfg.write_text(json.dumps({"pop": "6", "generations": 2, "seed": "9", "trace": 5}))
+    proc = run_cli("solve", triangle_file, "--config", str(cfg), cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "seed 9"
+    assert len((tmp_path / "5").read_text().splitlines()) == 1 + 2
+
+
+def _out_flag(command, tmp_path):
+    # Should compare not fail, it writes here, not into the working directory.
+    return ["--out", str(tmp_path / "out")] if command == "compare" else []
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("solve", {"seed": [1]}, "seed"),
+        ("solve", {"seed": "x"}, "seed"),
+        ("solve", {"pop": [1]}, "pop"),
+        ("solve", {"pop": 6.5}, "pop"),
+        ("solve", {"pm": True}, "pm"),
+        ("solve", {"operator": None}, "operator"),
+        ("compare", {"runs": None}, "runs"),
+        ("compare", {"operators": ["rsm"]}, "operators"),
+        ("compare", {"jobs": "two"}, "jobs"),
+    ],
+)
+def test_malformed_config_value_is_exit_2_in_one_line(tmp_path, capsys, triangle_file, command, doc, key):
+    cfg = tmp_path / "ga.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, triangle_file, "--config", str(cfg), *_out_flag(command, tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_u64_is_exit_2(tmp_path, capsys, triangle_file, command, seed):
+    assert main([command, triangle_file, "--seed", seed, *_out_flag(command, tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "tspga: seed must be an unsigned 64-bit integer\n"
+
+
 def test_config_unknown_key_is_exit_2(tmp_path, triangle_file):
     cfg = tmp_path / "ga.json"
     cfg.write_text(json.dumps({"popsize": 6}))
@@ -282,6 +395,17 @@ def test_compare_duplicate_operators_is_exit_2(tmp_path):
         "--seed", "0", "--out", str(tmp_path / "x"),
     )
     assert proc.returncode == 2
+
+
+def test_compare_zero_length_instance(tmp_path):
+    inst = tmp_path / "point.tsp"
+    inst.write_text(ZERO_LENGTH_TSP)
+    out = tmp_path / "cmp"
+    proc = run_cli("compare", str(inst), "--runs", "2", "--pop", "6", "--generations", "4",
+                   "--seed", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "report.json").read_text())
+    assert all(s["final_bests"] == [0, 0] for s in doc["operators"].values())
 
 
 def test_compare_default_output_dir(tmp_path):
