@@ -134,7 +134,7 @@ def _pick(flag_value, config: dict, key: str, default, cast=str):
         return default
     value = config[key]
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise _Failure(2, f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
+        raise _Failure(2, f"config key {key!r} must be a string or a number, not {json.dumps(value)}")
     try:
         return cast(str(value))
     except ValueError:
@@ -200,19 +200,15 @@ def cmd_solve(args, config: dict) -> int:
 def cmd_compare(args, config: dict) -> int:
     operators = _pick(args.operators, config, "operators", "rsm,psm,hprm")
     seed = _resolve_seed(args, config)
-    ga = _ga_config(args, config, None)
-    out = _pick(args.out, config, "out", "compare_out")
-    runs = _pick(args.runs, config, "runs", 50, int)
-    jobs = _pick(args.jobs, config, "jobs", 1, int)
     try:
         ecfg = ExperimentConfig(
-            ga=ga,
+            ga=_ga_config(args, config, None),
             operators=tuple(p.strip() for p in operators.split(",") if p.strip()),
             instance_path=args.instance,
-            output_dir=out,
+            output_dir=_pick(args.out, config, "out", "compare_out"),
             root_seed=seed,
-            runs=runs,
-            jobs=jobs,
+            runs=_pick(args.runs, config, "runs", 50, int),
+            jobs=_pick(args.jobs, config, "jobs", 1, int),
         )
     except ValueError as e:
         raise _Failure(2, str(e)) from None
@@ -224,7 +220,8 @@ def cmd_compare(args, config: dict) -> int:
     except OSError as e:
         raise _Failure(1, str(e)) from None
     print(format_summary_table(report))
-    print(f"wrote {Path(out) / CONVERGENCE_CSV} and {Path(out) / REPORT_JSON}", file=sys.stderr)
+    out = Path(ecfg.output_dir)
+    print(f"wrote {out / CONVERGENCE_CSV} and {out / REPORT_JSON}", file=sys.stderr)
     return 0
 
 

@@ -245,11 +245,11 @@ def _report_json(report: ComparisonReport) -> str:
         "instance": report.instance,
         "runs": report.runs,
         "root_seed": report.root_seed,
-        "config": {key: value for key, value in asdict(report.ga).items() if key != "mutation_operator"},
+        "config": {k: v for k, v in asdict(report.ga).items() if k != "mutation_operator"},
         "operators_order": list(op.operator for op in report.operators),
         "convergence_csv": CONVERGENCE_CSV,
         "operators": {
-            s.operator: {key: value for key, value in asdict(s).items() if key != "operator"}
+            s.operator: {k: v for k, v in asdict(s).items() if k != "operator"}
             for s in report.operators
         },
     }

@@ -72,11 +72,7 @@ def _draw_swaps(n: int, k: int, pm: float, rng: RngStream) -> tuple[list[int], l
 
 
 def _resolve_pair(n: int, pair, rng, strict: bool) -> tuple[int, int]:
-    """Checked (first, second) of a tour of n cities, drawn when pair is None.
-
-    strict pairs are crossover cuts (first < second); others are mutation
-    points (first <= second).
-    """
+    """pair checked, or drawn when None: cuts if strict (c1 < c2), else points (a <= b)."""
     kind = "cut" if strict else "mutation"
     if pair is None:
         if rng is None:
