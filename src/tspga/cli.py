@@ -198,6 +198,7 @@ def cmd_solve(args, config: dict) -> int:
 
 
 def cmd_compare(args, config: dict) -> int:
+    _load(load_instance, args.instance)  # run_comparison reads it again
     operators = _pick(args.operators, config, "operators", "rsm,psm,hprm")
     seed = _resolve_seed(args, config)
     try:
@@ -215,10 +216,8 @@ def cmd_compare(args, config: dict) -> int:
     print(f"root_seed {seed}", flush=True)
     try:
         report = run_comparison(ecfg)
-    except TsplibParseError as e:
-        raise _Failure(1, f"{args.instance}: {e}") from None
     except OSError as e:
-        raise _Failure(1, str(e)) from None
+        raise _Failure(1, f"cannot write {ecfg.output_dir}: {e}") from None
     print(format_summary_table(report))
     out = Path(ecfg.output_dir)
     print(f"wrote {out / CONVERGENCE_CSV} and {out / REPORT_JSON}", file=sys.stderr)

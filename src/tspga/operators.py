@@ -14,12 +14,13 @@ through the stream they are given.
 
 from __future__ import annotations
 
-from math import isqrt
+from bisect import bisect_left
+from math import ceil
 
 import numpy as np
 
 from .population import GaConfig, Population, fitness_of
-from .rng import RngStream
+from .rng import RngStream, _RawBlock
 
 # Elements (rows times cities) per block of crossed children: enough rows to
 # amortize numpy's per-call cost on short tours, few enough that a block's
@@ -37,38 +38,36 @@ def draw_mutation_points(n: int, rng: RngStream) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    r = rng.randint(0, n * (n + 1) // 2 - 1)
-    return _unrank_pair(n, r, strict=False)
+    return tuple(map(int, _unrank_pairs(n, rng.randint(0, n * (n + 1) // 2 - 1), strict=False)))
 
 
 def draw_cut_points(n: int, rng: RngStream) -> tuple[int, int]:
     """Uniform (c1, c2) with 0 <= c1 < c2 < n, for crossover."""
     if n < 2:
         raise ValueError("cut points need n >= 2")
-    r = rng.randint(0, n * (n - 1) // 2 - 1)
-    return _unrank_pair(n, r, strict=True)
+    return tuple(map(int, _unrank_pairs(n, rng.randint(0, n * (n - 1) // 2 - 1), strict=True)))
 
 
-def _unrank_pair(n: int, r: int, strict: bool) -> tuple[int, int]:
-    # Ranks count row-major over pairs (first, second); reversing the rank
-    # turns the row sizes into 1, 2, ..., so the row is a triangular root.
-    rows = n - 1 if strict else n
-    rev = rows * (rows + 1) // 2 - 1 - r
-    k = (isqrt(8 * rev + 1) - 1) // 2
-    m = rev - k * (k + 1) // 2
-    first = rows - 1 - k
-    second = n - 1 - m
-    return first, second
+def _unrank_pairs(n: int, r, strict):
+    """Pairs of ranks r (int or int array) as floats: cut pairs where strict, else mutation pairs.
 
-
-def _draw_swaps(n: int, k: int, pm: float, rng: RngStream) -> tuple[list[int], list[int]]:
-    """Hits among k probability draws, and one partner in [0, n) per hit.
-
-    The k draws are consumed as one array, whatever pm, then the partners in
-    hit order. Returns (hit steps, partners), both ascending by step.
+    Ranks count row-major over pairs; reversed, the row sizes are 1, 2, ...,
+    so the row is a triangular root: a float square root corrected by one
+    either way. Exact while n(n+1)/2 stays below 2**52.
     """
-    steps = (rng.random_array(k) < pm).nonzero()[0].tolist()
-    return steps, [rng.randint(0, n - 1) for _ in steps]
+    rows = n - strict
+    rev = rows * (rows + 1) // 2 - 1 - r
+    k = ((8 * rev + 1) ** 0.5 - 1) * 0.5 // 1
+    t = k * (k + 1) * 0.5  # where row k starts; row k + 1 starts at t + k + 1
+    k = k + (t + k + 1 <= rev) - (t > rev)
+    return rows - 1 - k, n - 1 - rev + k * (k + 1) * 0.5
+
+
+def _swap_draws(op: str, n: int, pm: float, width: int) -> int:
+    """Probability draws of a child whose points lie width apart; most at width n - 1."""
+    if op == "PSM":
+        return n  # one per position
+    return (width + 2) // 2 if op == "HPRM" and pm > 0.0 else 0  # one per HPRM pass
 
 
 def _resolve_pair(n: int, pair, rng, strict: bool) -> tuple[int, int]:
@@ -130,20 +129,17 @@ def _swap_rows(tours: np.ndarray, rows, i, j) -> None:
         lo = hi
 
 
-def _hprm_swaps(a: int, b: int, steps, partners) -> tuple[list[int], list[int]]:
+def _hprm_swaps(a, b, steps, partners) -> tuple[np.ndarray, np.ndarray]:
     """HPRM's probabilistic swaps, moved after the segment's full reversal.
 
     Pass s swaps the ends (a+s, b-s), then on a hit swaps a+s with its
     partner j. Later passes reverse only positions strictly between a+s and
     b-s, so the hit equals swapping a+s with j mirrored in [a, b] when j lies
-    there, applied after the whole reversal.
+    there, applied after the whole reversal. Each swap's a and b, step and
+    partner are ints or parallel int arrays.
     """
-    i, j = [], []
-    for s, p in zip(steps, partners):
-        head = a + s
-        i.append(head)
-        j.append(a + b - p if head < p < b - s else p)
-    return i, j
+    head, partners = a + np.asarray(steps, dtype=np.intp), np.asarray(partners, dtype=np.intp)
+    return head, np.where((head < partners) & (partners < b - head + a), a + b - partners, partners)
 
 
 def _plan(n: int, op: str, pm: float, crossed, rng, pts=None):
@@ -157,25 +153,84 @@ def _plan(n: int, op: str, pm: float, crossed, rng, pts=None):
     for child, cross in enumerate(crossed):
         if cross:
             cuts.append(draw_cut_points(n, rng))
-        if op == "PSM":
-            i, j = _draw_swaps(n, n, pm, rng)
-        else:
+        a, b = 0, n - 1
+        if op != "PSM":
             a, b = draw_mutation_points(n, rng) if pts is None else pts
             points.append((a, b))
-            if op == "RSM" or pm == 0.0:
-                continue
-            i, j = _hprm_swaps(a, b, *_draw_swaps(n, (b - a + 2) // 2, pm, rng))
+        k = _swap_draws(op, n, pm, b - a)
+        if k == 0:
+            continue
+        # The k probability draws as one array, then a partner per hit.
+        steps = (rng.random_array(k) < pm).nonzero()[0].tolist()
+        partners = [rng.randint(0, n - 1) for _ in steps]
+        i, j = (steps, partners) if op == "PSM" else _hprm_swaps(a, b, steps, partners)
         rows += [child] * len(i)
-        swap_i += i
-        swap_j += j
+        swap_i.extend(i)
+        swap_j.extend(j)
     return cuts, points, rows, swap_i, swap_j
+
+
+def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, blk: _RawBlock):
+    """_plan's draws from a raw-word block, made by array operations; pairs as (m, 2).
+
+    Without swaps the cuts and points are one run of half-words. With swaps a
+    walk draws each child's cut and points, counts the hits among its
+    probability draws in the block's hit list and places a half-word per hit.
+    The partners are drawn at the end; if one is rejected, _plan redoes the
+    children from its child on.
+    """
+    if n < 2:  # one city: cuts are errors and partner draws take no half-word
+        return _plan(n, op, pm, crossed, blk)
+    cspan, pspan = n * (n - 1) // 2 - 1, n * (n + 1) // 2 - 1
+    if _swap_draws(op, n, pm, n - 1) == 0:
+        point_slot = np.cumsum(crossed + 1) - 1
+        strict = np.ones(point_slot[-1] + 1, dtype=bool)  # cut draws, the rest points
+        strict[point_slot] = False
+        ranks = blk.bounded_run(np.where(strict, cspan, pspan)).astype(np.int64)
+        pairs = np.array(_unrank_pairs(n, ranks, strict), dtype=np.intp).T
+        return pairs[strict], pairs[point_slot], [], [], []
+    hits = blk.below(pm)
+    k = _swap_draws(op, n, pm, n - 1)
+    a, b = 0, n - 1
+    cut_ranks, walk = [], []
+    i = h = swaps = 0
+    for child, cross in enumerate(crossed.tolist()):
+        pos, q = blk.pos, blk.q
+        if cross:
+            cut_ranks.append(blk.bounded(cspan))
+        if op == "HPRM":
+            a, b = _unrank_pairs(n, blk.bounded(pspan), False)
+            k = _swap_draws(op, n, pm, int(b - a))
+        d = blk.reserve(k)
+        i = bisect_left(hits, d, i + h)
+        h = bisect_left(hits, d + k, i) - i
+        # Hit and half-word indices as offsets from the child's first swap.
+        walk += (pos, q, swaps, h, a, b, child, d, i - swaps, blk.halves(h) - swaps)
+        swaps += h
+    walk = np.array(walk, dtype=np.int64).reshape(-1, 10)
+    a, b, rows, d, hit, half = np.repeat(walk[:, 4:], walk[:, 3], axis=0).T
+    swap = np.arange(swaps)
+    partners, bad = blk.bounded_at(half + swap, n - 1)
+    swap_i, swap_j = blk.hit_words[hit + swap] - d, partners.astype(np.int64)
+    if op == "HPRM":
+        swap_i, swap_j = _hprm_swaps(a, b, swap_i, swap_j)
+    cuts = np.array(_unrank_pairs(n, np.array(cut_ranks, dtype=np.int64), True), dtype=np.intp).T
+    plan = [cuts, walk[:, 4:6] if op == "HPRM" else walk[:0, 4:6], rows, swap_i, swap_j]
+    if bad < swaps:
+        child = rows[bad]
+        pos, q, keep = walk[child, :3].tolist()
+        blk.rewind(pos, q)
+        ends = np.count_nonzero(crossed[:child]), child, keep, keep, keep
+        plan = [np.concatenate((x[:end], np.array(y, dtype=np.intp).reshape(-1, *x.shape[1:])))
+                for x, y, end in zip(plan, _plan(n, op, pm, crossed[child:], blk), ends)]
+        plan[2][keep:] += child
+    return plan
 
 
 def _apply(tours: np.ndarray, points, rows, swap_i, swap_j) -> None:
     """In place: a plan's segment reversals, then its swaps."""
-    if points:
-        a, b = np.array(points).T
-        _reverse_rows(tours, a, b)
+    if len(points):
+        _reverse_rows(tours, *np.asarray(points).T)
     _swap_rows(tours, rows, swap_i, swap_j)
 
 
@@ -306,21 +361,6 @@ def select_roulette(pool: Population, rng: RngStream) -> int:
     return int(wheel_index(_wheel(pool.lengths), rng.random()))
 
 
-def _block_words(size: int, n: int, op: str, pm: float) -> int:
-    """Expected raw words of one generation's draws; the block grows if short.
-
-    Per child: two parent draws, a gate, and the cut and point half-words,
-    plus the swap draws and about pm/2 partner words per swap draw.
-    """
-    if op == "PSM":
-        swap_draws = n
-    elif op == "HPRM" and pm > 0.0:
-        swap_draws = n // 6 + 1  # mean passes over a uniform segment
-    else:
-        swap_draws = 0
-    return int(size * (4 + swap_draws * (1.0 + pm / 2)))
-
-
 def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) -> Population:
     """One generation of offspring from an evaluated population.
 
@@ -340,7 +380,8 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
     The draws are made first, served from one raw-word block of the stream
     (RngStream.block), which yields the values numpy's own calls would;
     exactness rests on numpy's word consumption, which tests/test_rng.py
-    pins. The operators are then applied to all children at once.
+    pins. The plan is read from the block by array operations (_plan_block).
+    The operators are then applied to all children at once.
     """
     if not pop.evaluated:
         raise ValueError("variation needs an evaluated population")
@@ -350,14 +391,16 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
         )
     size, n = pop.size, pop.dimension
     op, pm = cfg.mutation_operator, cfg.mutation_rate
-    with rng.block(_block_words(size, n, op, pm)):
+    # Per child: parents, gate, a word for cut and points, the most swap draws, a word per expected hit.
+    swap_draws = _swap_draws(op, n, pm, n - 1)
+    with rng.block(size * (4 + swap_draws) + ceil(size * swap_draws * pm)) as blk:
         parents = wheel_index(_wheel(pop.lengths), rng.random_array(2 * size))
         crossed = rng.random_array(size) < cfg.crossover_rate
-        cuts, *mutation = _plan(n, op, pm, crossed.tolist(), rng)
+        cuts, *mutation = (_plan_block if isinstance(blk, _RawBlock) else _plan)(n, op, pm, crossed, blk)
 
     children = pop.tours[parents[0::2]]
     crossed_rows = np.flatnonzero(crossed)
-    c1, c2 = np.array(cuts, dtype=np.intp).reshape(-1, 2).T
+    c1, c2 = np.asarray(cuts, dtype=np.intp).reshape(-1, 2).T
     step = max(1, _OX_BLOCK_ELEMENTS // n)
     for lo in range(0, crossed_rows.size, step):
         block, hi = crossed_rows[lo:lo + step], lo + step

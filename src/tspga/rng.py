@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from math import ceil
 
 import numpy as np
 
@@ -37,13 +38,13 @@ class RngStream:
     def random(self) -> float:
         """One uniform draw from [0, 1)."""
         if self._block is not None:
-            return self._block.double()
+            return self._block.random()
         return float(self._gen.random())
 
     def random_array(self, k: int) -> np.ndarray:
         """``k`` uniform draws from [0, 1)."""
         if self._block is not None:
-            return self._block.doubles(k)
+            return self._block.random_array(k)
         return self._gen.random(k)
 
     def randint(self, lo: int, hi: int) -> int:
@@ -53,7 +54,7 @@ class RngStream:
         if self._block is not None:
             if lo < _INT64_MIN or hi > _INT64_MAX:
                 raise ValueError(f"integer range [{lo}, {hi}] is out of bounds for int64")
-            return lo + self._block.bounded(hi - lo)
+            return self._block.randint(lo, hi)
         return int(self._gen.integers(lo, hi + 1))
 
     def permutation(self, n: int) -> np.ndarray:
@@ -71,16 +72,17 @@ class RngStream:
         what the same calls would return outside the block. On exit, also on
         an exception, the generator is left where those direct calls would
         have left it: the saved state advanced by the words consumed, with
-        the replayed 32-bit half-word buffer. A nested block is the outer one.
+        the replayed 32-bit half-word buffer. Yields the block, whose own draws
+        mix with this stream's. A nested block is the outer one.
         """
         if self._block is not None:
-            yield self
+            yield self._block
             return
         bitgen = self._gen.bit_generator
         saved = bitgen.state
         self._block = _RawBlock(bitgen, words, saved["has_uint32"], saved["uinteger"])
         try:
-            yield self
+            yield self._block
         finally:
             blk, self._block = self._block, None
             bitgen.state = saved
@@ -120,45 +122,83 @@ class _RawBlock:
     Lemire's multiply-and-reject, drawing the next half-word on a rejection.
     Wider spans take full words the same way; a span of 0 consumes nothing.
     See Lemire, "Fast Random Integer Generation in an Interval" (2019).
+
+    Doubles leave the half-word buffer alone, so a caller may place half-words
+    among them (halves, numbered in draw order) and draw from them later at
+    once (bounded_at).
     """
 
     def __init__(self, bitgen, words: int, has_half, half):
         self._bitgen = bitgen
-        self._raw = bitgen.random_raw(max(int(words), 1))
-        self._dbl = (self._raw >> 11) * _DOUBLE_SCALE
-        self.pos = 0
-        self.has_half = bool(has_half)
-        self.half = int(half)
+        self.raw = bitgen.random_raw(max(int(words), 1))
+        self.pos = self.q = 0  # words and half-words drawn
+        self.has_half, self.half = self._has0, self._half0 = bool(has_half), int(half)
+        self._split_at: list[int] = []  # positions of the words split into halves
+        self._hit_limit = -1
+        self.hit_words = np.zeros(0, dtype=np.intp)
+        self.hits: list[int] = []
 
-    def _reserve(self, k: int) -> int:
-        """Start of the next k words, growing the block when it is short."""
-        p = self.pos
-        if p + k > self._raw.size:
-            extra = self._bitgen.random_raw(max(k, self._raw.size))
-            self._raw = np.concatenate((self._raw, extra))
-            self._dbl = np.concatenate((self._dbl, (extra >> 11) * _DOUBLE_SCALE))
+    def reserve(self, k: int) -> int:
+        """Consume the next k words, growing the block when short; the first's position."""
+        p, size = self.pos, self.raw.size
+        if p + k > size:
+            extra = self._bitgen.random_raw(max(p + k - size, size))
+            new = np.flatnonzero(extra <= self._hit_limit) + size
+            self.hit_words = np.concatenate((self.hit_words, new))
+            self.hits += new.tolist()
+            self.raw = np.concatenate((self.raw, extra))
         self.pos = p + k
         return p
 
-    def _word(self) -> int:
-        p = self._reserve(1)  # before reading self._raw, which may grow
-        return self._raw.item(p)
+    def rewind(self, pos: int, q: int) -> None:
+        """Return to an earlier pos and q, forgetting the words split since."""
+        del self._split_at[max(q - self._has0 + 1, 0) // 2:]
+        self.pos, self.q, self.has_half = pos, q, bool((q + self._has0) & 1)
+        self.half = self.raw.item(self._split_at[-1]) >> 32 if self._split_at else self._half0
 
-    def double(self) -> float:
-        p = self._reserve(1)
-        return self._dbl.item(p)
+    def random(self) -> float:
+        p = self.reserve(1)  # before reading self.raw, which may grow
+        return (self.raw.item(p) >> 11) * _DOUBLE_SCALE
 
-    def doubles(self, k: int) -> np.ndarray:
-        p = self._reserve(int(k))
-        return self._dbl[p:p + k].copy()
+    def random_array(self, k: int) -> np.ndarray:
+        p = self.reserve(int(k))
+        return (self.raw[p:p + k] >> 11) * _DOUBLE_SCALE
+
+    def randint(self, lo: int, hi: int) -> int:
+        return lo + self.bounded(hi - lo)
+
+    def below(self, p: float) -> list[int]:
+        """Positions of the words whose double is below p, kept as hits and hit_words."""
+        # (word >> 11) * 2**-53 < p exactly when word < ceil(p * 2**53) << 11.
+        self._hit_limit = (ceil(p * 2.0**53) << 11) - 1
+        self.hit_words = np.flatnonzero(self.raw <= self._hit_limit)
+        self.hits = self.hit_words.tolist()
+        return self.hits
+
+    def halves(self, count: int) -> int:
+        """Draw count half-words for a later bounded_at; the number of the first."""
+        q, need = self.q, count - self.has_half  # need: half-words split from new words
+        self.q += count
+        if need > 0:
+            self._split_at += range(self.reserve((need + 1) // 2), self.pos)
+            self.has_half, self.half = bool(need & 1), self.raw.item(self.pos - 1) >> 32
+        elif count:
+            self.has_half = False
+        return q
 
     def _half_word(self) -> int:
+        self.q += 1
         if self.has_half:
             self.has_half = False
             return self.half
-        word = self._word()
+        self._split_at.append(self.reserve(1))
+        word = self.raw.item(self.pos - 1)
         self.has_half, self.half = True, word >> 32
         return word & _U32
+
+    def _word(self) -> int:
+        p = self.reserve(1)
+        return self.raw.item(p)
 
     def bounded(self, span: int) -> int:
         """Offset in [0, span], consumed as numpy's bounded integer draw."""
@@ -183,3 +223,36 @@ class _RawBlock:
             while m & _U64 < threshold:
                 m = self._word() * excl
         return m >> 64
+
+    def bounded_at(self, qs, spans) -> tuple[np.ndarray, int]:
+        """Draws over spans (below 2**32 - 1) from the half-words numbered qs."""
+        words = self.raw[self._split_at]
+        split = np.stack((words & _U32, words >> 32), axis=1).reshape(-1)
+        if self._has0:
+            split = np.concatenate((np.array([self._half0], dtype=np.uint64), split))
+        excl = spans + 1
+        m = split[qs] * excl
+        bad = np.flatnonzero(m & _U32 < (_U32 - spans) % excl)
+        # Also the first draw Lemire's method rejects: it and all after it are void.
+        return m >> 32, int(bad[0]) if bad.size else len(qs)
+
+    def bounded_run(self, spans) -> np.ndarray:
+        """bounded(span) for each span in order, as one uint64 array.
+
+        Spans below 2**32 - 1 take consecutive half-words, drawn by one
+        bounded_at up to the first rejection; the draws from there on, and
+        runs with wider spans, are made one by one.
+        """
+        spans = np.asarray(spans, dtype=np.uint64)
+        out = np.zeros(spans.size, dtype=np.uint64)
+        live = np.flatnonzero(spans)  # a span of 0 consumes nothing
+        ok = 0
+        if live.size and spans.max() < _U32:
+            start = self.pos, self.q
+            m, ok = self.bounded_at(np.arange(self.halves(live.size), self.q), spans[live])
+            out[live[:ok]] = m[:ok]
+            if ok < live.size:
+                self.rewind(*start)
+                self.halves(ok)
+        out[live[ok:]] = [self.bounded(int(s)) for s in spans[live[ok:]]]
+        return out

@@ -408,6 +408,26 @@ def test_compare_zero_length_instance(tmp_path):
     assert all(s["final_bests"] == [0, 0] for s in doc["operators"].values())
 
 
+def test_compare_missing_instance_is_exit_1_in_one_line(tmp_path, capsys):
+    missing = tmp_path / "nope.tsp"
+    assert main(["compare", str(missing), "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"tspga: cannot read {missing}: ") and err.count("\n") == 1
+
+
+def test_compare_output_under_a_file_is_exit_1_naming_the_directory(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker / "out"
+    argv = ["compare", BERLIN, "--runs", "1", "--pop", "4", "--generations", "1",
+            "--seed", "1", "--out", str(out_dir)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "root_seed 1\n"
+    assert err.startswith(f"tspga: cannot write {out_dir}: ") and err.count("\n") == 1
+
+
 def test_compare_default_output_dir(tmp_path):
     proc = run_cli(
         "compare", BERLIN, "--operators", "rsm", "--runs", "1",

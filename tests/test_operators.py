@@ -1,6 +1,7 @@
 """Mutation operators, crossover, roulette selection, variation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from tspga import (
     variation,
     wheel_index,
 )
+from tspga.operators import _plan, _plan_block, _unrank_pairs
+from tspga.rng import _RawBlock
 from conftest import ScriptedRng
 
 
@@ -426,3 +429,194 @@ def test_variation_rsm_applied_to_every_child(berlin52_dm):
     expected[[0, 1]] = expected[[1, 0]]
     assert all(np.array_equal(c, expected) for c in children.tours)
     assert rng.exhausted()
+
+
+# ---------------------------------------------------------------- array plan
+
+def _isqrt_pair(n, r, strict):
+    """The unranking as math.isqrt computes it."""
+    rows = n - 1 if strict else n
+    rev = rows * (rows + 1) // 2 - 1 - r
+    k = (math.isqrt(8 * rev + 1) - 1) // 2
+    return rows - 1 - k, n - 1 - (rev - k * (k + 1) // 2)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_unranking_equals_isqrt_for_every_rank_up_to_300(strict):
+    # isqrt of every integer up to the largest 8 * rev + 1, as a table.
+    roots = np.repeat(np.arange(603), 2 * np.arange(603) + 1)
+    assert [int(roots[x]) for x in (0, 3, 4, 361_201)] == [0, 1, 2, math.isqrt(361_201)]
+    for n in range(1 + strict, 301):
+        rows = n - strict
+        r = np.arange(rows * (rows + 1) // 2)
+        rev = r[::-1]
+        k = (roots[8 * rev + 1] - 1) // 2
+        first, second = _unrank_pairs(n, r, strict)
+        assert np.array_equal(first, rows - 1 - k)
+        assert np.array_equal(second, n - 1 - (rev - k * (k + 1) // 2))
+
+
+@pytest.mark.parametrize("n", [5000, 10**6])
+@pytest.mark.parametrize("strict", [False, True])
+def test_unranking_equals_isqrt_at_the_ends_of_large_ranges(n, strict):
+    count = (n - strict) * (n - strict + 1) // 2
+    ranks = np.r_[0:10_000, count - 10_000:count]
+    expected = [_isqrt_pair(n, int(r), strict) for r in ranks]
+    first, second = _unrank_pairs(n, ranks, strict)
+    assert list(zip(first.tolist(), second.tolist())) == expected
+    assert [_unrank_pairs(n, int(r), strict) for r in ranks[::97]] == expected[::97]
+
+
+def _block_end(blk):
+    return blk.pos, blk.has_half, blk.half
+
+
+def _assert_same_plan(array_plan, scalar_plan):
+    names = ("cuts", "points", "rows", "swap_i", "swap_j")
+    for name, got, want in zip(names, array_plan, scalar_plan):
+        got = np.asarray(got, dtype=np.intp)
+        assert np.array_equal(got, np.array(want, dtype=np.intp).reshape(-1, *got.shape[1:])), name
+
+
+@pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
+@pytest.mark.parametrize("pm", [0.0, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("crossover_rate", [0.0, 0.7, 1.0])
+def test_array_plan_equals_scalar_plan(operator, pm, crossover_rate):
+    # At n=2 a cut's span is 0, so it takes no half-word. A 1-word block
+    # grows on the first draws after the gates.
+    for n, buffered in itertools.product([2, 3, 52, 200, 2000], [False, True]):
+        size = 6 if n == 2000 else 20
+        seed = n + 7 * buffered
+        array_rng, scalar_rng = RngStream(seed), RngStream(seed)
+        if buffered:  # leaves the high half-word buffered
+            assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
+        with array_rng.block(1) as array_blk, scalar_rng.block(1) as scalar_blk:
+            crossed = array_rng.random_array(size) < crossover_rate
+            assert np.array_equal(crossed, scalar_rng.random_array(size) < crossover_rate)
+            array_plan = _plan_block(n, operator, pm, crossed, array_blk)
+            scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_blk)
+            _assert_same_plan(array_plan, scalar_plan)
+            assert _block_end(array_blk) == _block_end(scalar_blk), (n, buffered)
+        assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+
+
+class _Words:
+    """Bit generator stand-in for _RawBlock: fixed raw words, served in order."""
+
+    def __init__(self, words):
+        self.words = words
+        self.used = 0
+
+    def random_raw(self, k):
+        self.used += k
+        return self.words[self.used - k:self.used].copy()
+
+
+class _LoggedBlock(_RawBlock):
+    """A block that logs each integer draw's range and first half-word number."""
+
+    def randint(self, lo, hi):
+        self.log.append((hi, self.q))
+        return super().randint(lo, hi)
+
+
+REJECT_N, REJECT_SIZE = 52, 20
+REJECT_CROSSED = np.random.default_rng(3).random(REJECT_SIZE) < 0.7
+REJECT_WORDS = np.random.default_rng(11).integers(0, 2**64, size=20_000, dtype=np.uint64)
+REJECT_HALF = 0xDEADBEEF
+
+
+def _craft_rejection(operator, kind, where, buffered):
+    """Raw words and buffered half in which one draw's first half-word is 0.
+
+    The draw is the first of the given kind (cut, point or partner) of the
+    first, a middle or the last child that makes one. A half-word of 0
+    leaves 0 < threshold, so Lemire's method rejects it.
+    """
+    n = REJECT_N
+    his = {"cut": n * (n - 1) // 2 - 1, "point": n * (n + 1) // 2 - 1, "partner": n - 1}
+    assert (1 << 32) % (his[kind] + 1), "this range never rejects"
+    blk = _LoggedBlock(_Words(REJECT_WORDS), 1, buffered, REJECT_HALF)
+    blk.log = []
+    plan = _plan(n, operator, 0.3, REJECT_CROSSED.tolist(), blk)
+    firsts = [q for hi, q in blk.log if hi == his[kind]]
+    owners = {
+        "cut": np.flatnonzero(REJECT_CROSSED).tolist(),
+        "point": list(range(REJECT_SIZE)),
+        "partner": plan[2],
+    }[kind]
+    children = sorted(set(owners))
+    child = {"first": children[0], "middle": children[len(children) // 2], "last": children[-1]}[where]
+    q = firsts[owners.index(child)]
+    words, half = REJECT_WORDS.copy(), REJECT_HALF
+    i = q - buffered
+    if i < 0:
+        half = 0
+    else:
+        pos = blk._split_at[i // 2]
+        words[pos] &= np.uint64(0xFFFFFFFF << 32 if i % 2 == 0 else 0xFFFFFFFF)
+    return words, half
+
+
+@pytest.mark.parametrize("operator,kind", [
+    ("RSM", "cut"), ("RSM", "point"), ("PSM", "cut"), ("PSM", "partner"),
+    ("HPRM", "cut"), ("HPRM", "point"), ("HPRM", "partner"),
+])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_array_plan_resolves_every_rejection(operator, kind, where, buffered):
+    # Cuts and points rejected in a run of half-words (RSM) or in the walk
+    # (PSM, HPRM) are redrawn on the spot; a rejected partner sends its
+    # child and the rest back to the scalar plan.
+    words, half = _craft_rejection(operator, kind, where, buffered)
+    array_blk = _RawBlock(_Words(words), 1, buffered, half)
+    scalar_blk = _RawBlock(_Words(words), 1, buffered, half)
+    array_plan = _plan_block(REJECT_N, operator, 0.3, REJECT_CROSSED, array_blk)
+    scalar_plan = _plan(REJECT_N, operator, 0.3, REJECT_CROSSED.tolist(), scalar_blk)
+    _assert_same_plan(array_plan, scalar_plan)
+    assert _block_end(array_blk) == _block_end(scalar_blk)
+
+
+@pytest.fixture
+def rejections(monkeypatch):
+    """Counts the Lemire rejections that _RawBlock's draws meet."""
+    seen = []
+    bounded, bounded_at = _RawBlock.bounded, _RawBlock.bounded_at
+
+    def counted_bounded(self, span):
+        q = self.q
+        value = bounded(self, span)
+        if self.q - q > 1:
+            seen.append(span)
+        return value
+
+    def counted_bounded_at(self, qs, span):
+        values, bad = bounded_at(self, qs, span)
+        if bad < len(qs):
+            seen.append(span)
+        return values, bad
+
+    monkeypatch.setattr(_RawBlock, "bounded", counted_bounded)
+    monkeypatch.setattr(_RawBlock, "bounded_at", counted_bounded_at)
+    return seen
+
+
+# At n=5000 a cut or point draw rejects with about 0.15-0.19 % chance and a
+# partner draw with 0.00005 %. Each seed below was chosen because its
+# generation meets a real rejection of the named draw.
+@pytest.mark.parametrize("operator,seed,kind", [
+    ("PSM", 156, "cut"), ("PSM", 183, "partner"),
+    ("HPRM", 99, "cut"), ("HPRM", 36, "point"), ("HPRM", 2173, "partner"),
+])
+def test_variation_at_5000_cities_through_a_rejection(rejections, operator, seed, kind):
+    n, size = 5000, 10
+    gen = np.random.default_rng(0)
+    pop = Population(np.stack([gen.permutation(n) for _ in range(size)]),
+                     gen.integers(1_000_000, 2_000_000, size))
+    cfg = GaConfig(population_size=size, crossover_rate=0.9, mutation_operator=operator)
+    batched, manual = RngStream(seed), RngStream(seed)
+    children = variation(pop, cfg, np.broadcast_to(np.int64(0), (n, n)), batched)
+    spans = {"cut": n * (n - 1) // 2 - 1, "point": n * (n + 1) // 2 - 1, "partner": n - 1}
+    assert spans[kind] in rejections
+    assert np.array_equal(children.tours, _variation_one_child_at_a_time(pop, cfg, manual))
+    assert batched._gen.bit_generator.state == manual._gen.bit_generator.state

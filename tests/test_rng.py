@@ -188,3 +188,49 @@ def test_nested_block_is_the_outer_block():
         got.append(blocked.random())
     assert got == expected
     assert _state(blocked) == _state(direct)
+
+
+# Spans (values minus one) of integer draws; 2**31 rejects about half of its
+# half-words, so a run of them meets many rejections.
+NARROW_SPANS = [0, 1, 51, 1377, 12_502_499, 2**31]
+
+
+@pytest.mark.parametrize("spans", [NARROW_SPANS, [s - 1 for s in RANGES]], ids=["narrow", "all"])
+@pytest.mark.parametrize("buffer_full", [False, True])
+def test_block_bounded_run_equals_bounded_draws(spans, buffer_full):
+    meta = np.random.default_rng(7)
+    for trial in range(60):
+        run = [spans[i] for i in meta.integers(len(spans), size=int(meta.integers(1, 40)))]
+        array_rng, scalar_rng = RngStream(trial), RngStream(trial)
+        if buffer_full:
+            assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
+        with array_rng.block(1) as array_blk, scalar_rng.block(1) as scalar_blk:
+            got = array_blk.bounded_run(run)
+            assert got.tolist() == [scalar_blk.bounded(span) for span in run]
+        assert _state(array_rng) == _state(scalar_rng)
+
+
+def test_block_half_words_placed_first_are_drawn_later():
+    # Half-words placed by halves(), with doubles between them, give the
+    # draws bounded() would have made in their places.
+    placed, direct = RngStream(12), RngStream(12)
+    with placed.block(1) as blk, direct.block(1) as ref:
+        numbers, expected = [], []
+        for count in [3, 0, 1, 4, 2]:
+            numbers += range(blk.halves(count), blk.q)
+            expected += [ref.bounded(51) for _ in range(count)]
+            assert blk.random() == ref.random()
+        values, bad = blk.bounded_at(numbers, 51)
+        assert bad == len(numbers) and values.tolist() == expected
+    assert _state(placed) == _state(direct)
+
+
+def test_block_below_lists_the_words_whose_double_is_below_p():
+    rng = RngStream(13)
+    with rng.block(4) as blk:
+        for p in [0.0, 0.05, 0.5, 1.0]:
+            hits = blk.below(p)
+            assert hits == np.flatnonzero((blk.raw >> 11) * 2.0**-53 < p).tolist()
+            blk.reserve(blk.raw.size + 1)  # the lists grow with the block
+            assert blk.below(p) == np.flatnonzero((blk.raw >> 11) * 2.0**-53 < p).tolist()
+            assert blk.hit_words.tolist() == blk.below(p)
