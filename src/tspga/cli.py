@@ -198,7 +198,7 @@ def cmd_solve(args, config: dict) -> int:
 
 
 def cmd_compare(args, config: dict) -> int:
-    _load(load_instance, args.instance)  # run_comparison reads it again
+    inst = _load(load_instance, args.instance)
     operators = _pick(args.operators, config, "operators", "rsm,psm,hprm")
     seed = _resolve_seed(args, config)
     try:
@@ -215,7 +215,7 @@ def cmd_compare(args, config: dict) -> int:
         raise _Failure(2, str(e)) from None
     print(f"root_seed {seed}", flush=True)
     try:
-        report = run_comparison(ecfg)
+        report = run_comparison(ecfg, inst)
     except OSError as e:
         raise _Failure(1, f"cannot write {ecfg.output_dir}: {e}") from None
     print(format_summary_table(report))

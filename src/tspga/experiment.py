@@ -19,7 +19,7 @@ import numpy as np
 from .ga import RunResult, evolve
 from .population import GaConfig, Population, evaluate, init_population, normalize_operator
 from .rng import derive_stream
-from .tsplib import build_distance_matrix, load_instance
+from .tsplib import Instance, build_distance_matrix, load_instance
 
 # Stream family tags: keep init streams and evolve streams from ever sharing
 # a derivation key, whatever the run index.
@@ -165,16 +165,18 @@ def _run_cell(payload):
     return operator, run, evolve(cfg, dm, pop, rng)
 
 
-def run_comparison(cfg: ExperimentConfig) -> ComparisonReport:
+def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> ComparisonReport:
     """Run every operator arm over the shared initial populations.
 
     Writes convergence.csv and report.json into output_dir and returns the
     report. Identical configs produce byte-identical files; neither file
     carries wall-clock content. Both files are written to temporaries in
     output_dir and renamed into place once both are complete, so a run that
-    fails leaves the previous pair untouched.
+    fails leaves the previous pair untouched. inst, when given, is the
+    instance at instance_path, already loaded.
     """
-    inst = load_instance(cfg.instance_path)
+    if inst is None:
+        inst = load_instance(cfg.instance_path)
     dm = build_distance_matrix(inst)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ from math import ceil
 import numpy as np
 
 from .population import GaConfig, Population, fitness_of
-from .rng import RngStream, _RawBlock
+from .rng import RngStream
 
 # Elements (rows times cities) per block of crossed children: enough rows to
 # amortize numpy's per-call cost on short tours, few enough that a block's
@@ -170,17 +170,20 @@ def _plan(n: int, op: str, pm: float, crossed, rng, pts=None):
     return cuts, points, rows, swap_i, swap_j
 
 
-def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, blk: _RawBlock):
-    """_plan's draws from a raw-word block, made by array operations; pairs as (m, 2).
+def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
+    """_plan's draws, made by array operations on the stream's raw-word block; pairs as (m, 2).
 
     Without swaps the cuts and points are one run of half-words. With swaps a
-    walk draws each child's cut and points, counts the hits among its
-    probability draws in the block's hit list and places a half-word per hit.
-    The partners are drawn at the end; if one is rejected, _plan redoes the
-    children from its child on.
+    walk draws each child's cut and points with rng.randint, counts the hits
+    among its probability draws in the block's hit list and places a
+    half-word per hit. The partners are drawn at the end; if one is
+    rejected, _plan redoes the children from its child on. A stream without
+    a block (a scripted one) and one-city tours, whose partner draws take no
+    half-word, get _plan.
     """
-    if n < 2:  # one city: cuts are errors and partner draws take no half-word
-        return _plan(n, op, pm, crossed, blk)
+    blk = getattr(rng, "_block", None)
+    if blk is None or n < 2:
+        return _plan(n, op, pm, crossed, rng)
     cspan, pspan = n * (n - 1) // 2 - 1, n * (n + 1) // 2 - 1
     if _swap_draws(op, n, pm, n - 1) == 0:
         point_slot = np.cumsum(crossed + 1) - 1
@@ -197,9 +200,9 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, blk: _RawBlock)
     for child, cross in enumerate(crossed.tolist()):
         pos, q = blk.pos, blk.q
         if cross:
-            cut_ranks.append(blk.bounded(cspan))
+            cut_ranks.append(rng.randint(0, cspan))
         if op == "HPRM":
-            a, b = _unrank_pairs(n, blk.bounded(pspan), False)
+            a, b = _unrank_pairs(n, rng.randint(0, pspan), False)
             k = _swap_draws(op, n, pm, int(b - a))
         d = blk.reserve(k)
         i = bisect_left(hits, d, i + h)
@@ -222,7 +225,7 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, blk: _RawBlock)
         blk.rewind(pos, q)
         ends = np.count_nonzero(crossed[:child]), child, keep, keep, keep
         plan = [np.concatenate((x[:end], np.array(y, dtype=np.intp).reshape(-1, *x.shape[1:])))
-                for x, y, end in zip(plan, _plan(n, op, pm, crossed[child:], blk), ends)]
+                for x, y, end in zip(plan, _plan(n, op, pm, crossed[child:], rng), ends)]
         plan[2][keep:] += child
     return plan
 
@@ -391,12 +394,14 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
         )
     size, n = pop.size, pop.dimension
     op, pm = cfg.mutation_operator, cfg.mutation_rate
-    # Per child: parents, gate, a word for cut and points, the most swap draws, a word per expected hit.
-    swap_draws = _swap_draws(op, n, pm, n - 1)
-    with rng.block(size * (4 + swap_draws) + ceil(size * swap_draws * pm)) as blk:
+    # Per child: parents, gate, a word for cut and points, the swap draws of a
+    # segment a fifth wider than the mean (n/3) and a word per expected hit.
+    # The block grows when a generation's segments are wider still.
+    swap_draws = _swap_draws(op, n, pm, 2 * n // 5)
+    with rng.block(size * (4 + swap_draws) + ceil(size * swap_draws * pm)):
         parents = wheel_index(_wheel(pop.lengths), rng.random_array(2 * size))
         crossed = rng.random_array(size) < cfg.crossover_rate
-        cuts, *mutation = (_plan_block if isinstance(blk, _RawBlock) else _plan)(n, op, pm, crossed, blk)
+        cuts, *mutation = _plan_block(n, op, pm, crossed, rng)
 
     children = pop.tours[parents[0::2]]
     crossed_rows = np.flatnonzero(crossed)

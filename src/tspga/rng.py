@@ -38,13 +38,13 @@ class RngStream:
     def random(self) -> float:
         """One uniform draw from [0, 1)."""
         if self._block is not None:
-            return self._block.random()
+            return self._block.double()
         return float(self._gen.random())
 
     def random_array(self, k: int) -> np.ndarray:
         """``k`` uniform draws from [0, 1)."""
         if self._block is not None:
-            return self._block.random_array(k)
+            return self._block.doubles(k)
         return self._gen.random(k)
 
     def randint(self, lo: int, hi: int) -> int:
@@ -54,7 +54,7 @@ class RngStream:
         if self._block is not None:
             if lo < _INT64_MIN or hi > _INT64_MAX:
                 raise ValueError(f"integer range [{lo}, {hi}] is out of bounds for int64")
-            return self._block.randint(lo, hi)
+            return lo + self._block.bounded(hi - lo)
         return int(self._gen.integers(lo, hi + 1))
 
     def permutation(self, n: int) -> np.ndarray:
@@ -72,17 +72,16 @@ class RngStream:
         what the same calls would return outside the block. On exit, also on
         an exception, the generator is left where those direct calls would
         have left it: the saved state advanced by the words consumed, with
-        the replayed 32-bit half-word buffer. Yields the block, whose own draws
-        mix with this stream's. A nested block is the outer one.
+        the replayed 32-bit half-word buffer. A nested block is the outer one.
         """
         if self._block is not None:
-            yield self._block
+            yield self
             return
         bitgen = self._gen.bit_generator
         saved = bitgen.state
         self._block = _RawBlock(bitgen, words, saved["has_uint32"], saved["uinteger"])
         try:
-            yield self._block
+            yield self
         finally:
             blk, self._block = self._block, None
             bitgen.state = saved
@@ -156,16 +155,13 @@ class _RawBlock:
         self.pos, self.q, self.has_half = pos, q, bool((q + self._has0) & 1)
         self.half = self.raw.item(self._split_at[-1]) >> 32 if self._split_at else self._half0
 
-    def random(self) -> float:
+    def double(self) -> float:
         p = self.reserve(1)  # before reading self.raw, which may grow
         return (self.raw.item(p) >> 11) * _DOUBLE_SCALE
 
-    def random_array(self, k: int) -> np.ndarray:
+    def doubles(self, k: int) -> np.ndarray:
         p = self.reserve(int(k))
         return (self.raw[p:p + k] >> 11) * _DOUBLE_SCALE
-
-    def randint(self, lo: int, hi: int) -> int:
-        return lo + self.bounded(hi - lo)
 
     def below(self, p: float) -> list[int]:
         """Positions of the words whose double is below p, kept as hits and hit_words."""

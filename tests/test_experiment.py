@@ -140,6 +140,16 @@ def test_degenerate_run_reports_initial_best(tmp_path):
     assert arm.mean_generations_to_best == 0.0
 
 
+def test_a_loaded_instance_is_used_in_place_of_the_path(tmp_path):
+    read = _config(tmp_path / "read", operators=("psm",), runs=1)
+    loaded = _config(tmp_path / "loaded", operators=("psm",), runs=1,
+                     instance_path=str(tmp_path / "never-read.tsp"))
+    run_comparison(read)
+    run_comparison(loaded, load_instance(read.instance_path))
+    for name in ("convergence.csv", "report.json"):
+        assert (tmp_path / "read" / "out" / name).read_bytes() == (tmp_path / "loaded" / "out" / name).read_bytes()
+
+
 def test_rsm_and_hprm_arms_identical_at_zero_pm(tmp_path):
     # Shared per-run evolution streams plus HPRM's no-draw pm=0 path make
     # the two arms the same experiment; any divergence is a pairing bug.

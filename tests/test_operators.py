@@ -467,7 +467,8 @@ def test_unranking_equals_isqrt_at_the_ends_of_large_ranges(n, strict):
     assert [_unrank_pairs(n, int(r), strict) for r in ranks[::97]] == expected[::97]
 
 
-def _block_end(blk):
+def _block_end(rng):
+    blk = rng._block
     return blk.pos, blk.has_half, blk.half
 
 
@@ -490,13 +491,13 @@ def test_array_plan_equals_scalar_plan(operator, pm, crossover_rate):
         array_rng, scalar_rng = RngStream(seed), RngStream(seed)
         if buffered:  # leaves the high half-word buffered
             assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
-        with array_rng.block(1) as array_blk, scalar_rng.block(1) as scalar_blk:
+        with array_rng.block(1), scalar_rng.block(1):
             crossed = array_rng.random_array(size) < crossover_rate
             assert np.array_equal(crossed, scalar_rng.random_array(size) < crossover_rate)
-            array_plan = _plan_block(n, operator, pm, crossed, array_blk)
-            scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_blk)
+            array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+            scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
             _assert_same_plan(array_plan, scalar_plan)
-            assert _block_end(array_blk) == _block_end(scalar_blk), (n, buffered)
+            assert _block_end(array_rng) == _block_end(scalar_rng), (n, buffered)
         assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
 
 
@@ -512,12 +513,19 @@ class _Words:
         return self.words[self.used - k:self.used].copy()
 
 
-class _LoggedBlock(_RawBlock):
-    """A block that logs each integer draw's range and first half-word number."""
+class _LoggedStream(RngStream):
+    """A stream that logs each integer draw's range and first half-word number."""
 
     def randint(self, lo, hi):
-        self.log.append((hi, self.q))
+        self.log.append((hi, self._block.q))
         return super().randint(lo, hi)
+
+
+def _on_words(words, buffered, half, stream=RngStream):
+    """A stream drawing from a block of the given raw words, as inside its block()."""
+    rng = stream(0)
+    rng._block = _RawBlock(_Words(words), 1, buffered, half)
+    return rng
 
 
 REJECT_N, REJECT_SIZE = 52, 20
@@ -536,10 +544,10 @@ def _craft_rejection(operator, kind, where, buffered):
     n = REJECT_N
     his = {"cut": n * (n - 1) // 2 - 1, "point": n * (n + 1) // 2 - 1, "partner": n - 1}
     assert (1 << 32) % (his[kind] + 1), "this range never rejects"
-    blk = _LoggedBlock(_Words(REJECT_WORDS), 1, buffered, REJECT_HALF)
-    blk.log = []
-    plan = _plan(n, operator, 0.3, REJECT_CROSSED.tolist(), blk)
-    firsts = [q for hi, q in blk.log if hi == his[kind]]
+    rng = _on_words(REJECT_WORDS, buffered, REJECT_HALF, _LoggedStream)
+    rng.log = []
+    plan = _plan(n, operator, 0.3, REJECT_CROSSED.tolist(), rng)
+    firsts = [q for hi, q in rng.log if hi == his[kind]]
     owners = {
         "cut": np.flatnonzero(REJECT_CROSSED).tolist(),
         "point": list(range(REJECT_SIZE)),
@@ -553,7 +561,7 @@ def _craft_rejection(operator, kind, where, buffered):
     if i < 0:
         half = 0
     else:
-        pos = blk._split_at[i // 2]
+        pos = rng._block._split_at[i // 2]
         words[pos] &= np.uint64(0xFFFFFFFF << 32 if i % 2 == 0 else 0xFFFFFFFF)
     return words, half
 
@@ -569,12 +577,11 @@ def test_array_plan_resolves_every_rejection(operator, kind, where, buffered):
     # (PSM, HPRM) are redrawn on the spot; a rejected partner sends its
     # child and the rest back to the scalar plan.
     words, half = _craft_rejection(operator, kind, where, buffered)
-    array_blk = _RawBlock(_Words(words), 1, buffered, half)
-    scalar_blk = _RawBlock(_Words(words), 1, buffered, half)
-    array_plan = _plan_block(REJECT_N, operator, 0.3, REJECT_CROSSED, array_blk)
-    scalar_plan = _plan(REJECT_N, operator, 0.3, REJECT_CROSSED.tolist(), scalar_blk)
+    array_rng, scalar_rng = _on_words(words, buffered, half), _on_words(words, buffered, half)
+    array_plan = _plan_block(REJECT_N, operator, 0.3, REJECT_CROSSED, array_rng)
+    scalar_plan = _plan(REJECT_N, operator, 0.3, REJECT_CROSSED.tolist(), scalar_rng)
     _assert_same_plan(array_plan, scalar_plan)
-    assert _block_end(array_blk) == _block_end(scalar_blk)
+    assert _block_end(array_rng) == _block_end(scalar_rng)
 
 
 @pytest.fixture

@@ -204,9 +204,9 @@ def test_block_bounded_run_equals_bounded_draws(spans, buffer_full):
         array_rng, scalar_rng = RngStream(trial), RngStream(trial)
         if buffer_full:
             assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
-        with array_rng.block(1) as array_blk, scalar_rng.block(1) as scalar_blk:
-            got = array_blk.bounded_run(run)
-            assert got.tolist() == [scalar_blk.bounded(span) for span in run]
+        with array_rng.block(1), scalar_rng.block(1):
+            got = array_rng._block.bounded_run(run)
+            assert got.tolist() == [scalar_rng._block.bounded(span) for span in run]
         assert _state(array_rng) == _state(scalar_rng)
 
 
@@ -214,12 +214,13 @@ def test_block_half_words_placed_first_are_drawn_later():
     # Half-words placed by halves(), with doubles between them, give the
     # draws bounded() would have made in their places.
     placed, direct = RngStream(12), RngStream(12)
-    with placed.block(1) as blk, direct.block(1) as ref:
+    with placed.block(1), direct.block(1):
+        blk, ref = placed._block, direct._block
         numbers, expected = [], []
         for count in [3, 0, 1, 4, 2]:
             numbers += range(blk.halves(count), blk.q)
             expected += [ref.bounded(51) for _ in range(count)]
-            assert blk.random() == ref.random()
+            assert blk.double() == ref.double()
         values, bad = blk.bounded_at(numbers, 51)
         assert bad == len(numbers) and values.tolist() == expected
     assert _state(placed) == _state(direct)
@@ -227,7 +228,8 @@ def test_block_half_words_placed_first_are_drawn_later():
 
 def test_block_below_lists_the_words_whose_double_is_below_p():
     rng = RngStream(13)
-    with rng.block(4) as blk:
+    with rng.block(4):
+        blk = rng._block
         for p in [0.0, 0.05, 0.5, 1.0]:
             hits = blk.below(p)
             assert hits == np.flatnonzero((blk.raw >> 11) * 2.0**-53 < p).tolist()
