@@ -56,6 +56,11 @@ class _Failure(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is one line, as every failure is
+        raise _Failure(2, message)
+
+
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pop", type=int, default=None, metavar="N", help="population size (default 100)")
     p.add_argument("--generations", type=int, default=None, metavar="N",
@@ -73,7 +78,7 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tspga",
         description="Genetic-algorithm toolkit for the symmetric TSP.",
     )
@@ -232,8 +237,8 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _load_config(args.config) if getattr(args, "config", None) else {}
         if args.command == "solve":
             return cmd_solve(args, config)

@@ -176,58 +176,57 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
     Without swaps the cuts and points are one run of half-words. With swaps a
     walk draws each child's cut and points with rng.randint, counts the hits
     among its probability draws in the block's hit list and places a
-    half-word per hit. The partners are drawn at the end; if one is
-    rejected, _plan redoes the children from its child on. A stream without
-    a block (a scripted one) and one-city tours, whose partner draws take no
-    half-word, get _plan.
+    half-word per hit; the partners are drawn at the end. When Lemire's
+    method rejects a half-word of the run or a partner, the block rewinds to
+    the plan's start and _plan plans the generation one draw at a time, as
+    it does for a stream without a block (a scripted one) and for tours the
+    half-words cannot serve: at n <= 2 a cut's span of 0 takes none, and
+    from n = 92,682 a point's span passes 2**32 - 1 and takes full words.
     """
     blk = getattr(rng, "_block", None)
-    if blk is None or n < 2:
-        return _plan(n, op, pm, crossed, rng)
     cspan, pspan = n * (n - 1) // 2 - 1, n * (n + 1) // 2 - 1
-    if _swap_draws(op, n, pm, n - 1) == 0:
+    if blk is None or not 0 < cspan < pspan < 2**32 - 1:
+        return _plan(n, op, pm, crossed, rng)
+    start = blk.pos, blk.q
+    k = _swap_draws(op, n, pm, n - 1)
+    if k == 0:
         point_slot = np.cumsum(crossed + 1) - 1
         strict = np.ones(point_slot[-1] + 1, dtype=bool)  # cut draws, the rest points
         strict[point_slot] = False
-        ranks = blk.bounded_run(np.where(strict, cspan, pspan)).astype(np.int64)
-        pairs = np.array(_unrank_pairs(n, ranks, strict), dtype=np.intp).T
-        return pairs[strict], pairs[point_slot], [], [], []
-    hits = blk.below(pm)
-    k = _swap_draws(op, n, pm, n - 1)
-    a, b = 0, n - 1
-    cut_ranks, walk = [], []
-    i = h = swaps = 0
-    for child, cross in enumerate(crossed.tolist()):
-        pos, q = blk.pos, blk.q
-        if cross:
-            cut_ranks.append(rng.randint(0, cspan))
-        if op == "HPRM":
-            a, b = _unrank_pairs(n, rng.randint(0, pspan), False)
-            k = _swap_draws(op, n, pm, int(b - a))
-        d = blk.reserve(k)
-        i = bisect_left(hits, d, i + h)
-        h = bisect_left(hits, d + k, i) - i
-        # Hit and half-word indices as offsets from the child's first swap.
-        walk += (pos, q, swaps, h, a, b, child, d, i - swaps, blk.halves(h) - swaps)
-        swaps += h
-    walk = np.array(walk, dtype=np.int64).reshape(-1, 10)
-    a, b, rows, d, hit, half = np.repeat(walk[:, 4:], walk[:, 3], axis=0).T
-    swap = np.arange(swaps)
-    partners, bad = blk.bounded_at(half + swap, n - 1)
-    swap_i, swap_j = blk.hit_words[hit + swap] - d, partners.astype(np.int64)
-    if op == "HPRM":
-        swap_i, swap_j = _hprm_swaps(a, b, swap_i, swap_j)
-    cuts = np.array(_unrank_pairs(n, np.array(cut_ranks, dtype=np.int64), True), dtype=np.intp).T
-    plan = [cuts, walk[:, 4:6] if op == "HPRM" else walk[:0, 4:6], rows, swap_i, swap_j]
-    if bad < swaps:
-        child = rows[bad]
-        pos, q, keep = walk[child, :3].tolist()
-        blk.rewind(pos, q)
-        ends = np.count_nonzero(crossed[:child]), child, keep, keep, keep
-        plan = [np.concatenate((x[:end], np.array(y, dtype=np.intp).reshape(-1, *x.shape[1:])))
-                for x, y, end in zip(plan, _plan(n, op, pm, crossed[child:], rng), ends)]
-        plan[2][keep:] += child
-    return plan
+        spans = np.where(strict, cspan, pspan).astype(np.uint64)
+        ranks, bad = blk.bounded_at(np.arange(blk.halves(spans.size), blk.q), spans)
+        if bad == spans.size:
+            pairs = np.array(_unrank_pairs(n, ranks.astype(np.int64), strict), dtype=np.intp).T
+            return pairs[strict], pairs[point_slot], [], [], []
+    else:
+        hits = blk.below(pm)
+        a, b = 0, n - 1
+        cut_ranks, walk = [], []
+        i = h = swaps = 0
+        for child, cross in enumerate(crossed.tolist()):
+            if cross:
+                cut_ranks.append(rng.randint(0, cspan))
+            if op == "HPRM":
+                a, b = _unrank_pairs(n, rng.randint(0, pspan), False)
+                k = _swap_draws(op, n, pm, int(b - a))
+            d = blk.reserve(k)
+            i = bisect_left(hits, d, i + h)
+            h = bisect_left(hits, d + k, i) - i
+            # Hit and half-word indices as offsets from the child's first swap.
+            walk += (h, a, b, child, d, i - swaps, blk.halves(h) - swaps)
+            swaps += h
+        walk = np.array(walk, dtype=np.int64).reshape(-1, 7)
+        a, b, rows, d, hit, half = np.repeat(walk[:, 1:], walk[:, 0], axis=0).T
+        swap = np.arange(swaps)
+        partners, bad = blk.bounded_at(half + swap, n - 1)
+        if bad == swaps:
+            swap_i, swap_j = blk.hit_words[hit + swap] - d, partners.astype(np.int64)
+            if op == "HPRM":
+                swap_i, swap_j = _hprm_swaps(a, b, swap_i, swap_j)
+            cuts = np.array(_unrank_pairs(n, np.array(cut_ranks, dtype=np.int64), True), dtype=np.intp).T
+            return cuts, walk[:, 1:3] if op == "HPRM" else walk[:0, 1:3], rows, swap_i, swap_j
+    blk.rewind(*start)
+    return _plan(n, op, pm, crossed.tolist(), rng)
 
 
 def _apply(tours: np.ndarray, points, rows, swap_i, swap_j) -> None:
@@ -279,6 +278,8 @@ def mutate_hprm(t, pm, pts=None, rng: RngStream | None = None) -> np.ndarray:
     when a == b.
     """
     pm = _check_probability(pm)
+    if pm > 0.0 and rng is None:
+        raise ValueError("an rng must be supplied for the swap draws when pm > 0")
     return _mutate_one(t, "HPRM", pm, _resolve_pair(np.shape(t)[0], pts, rng, strict=False), rng)
 
 

@@ -231,24 +231,3 @@ class _RawBlock:
         bad = np.flatnonzero(m & _U32 < (_U32 - spans) % excl)
         # Also the first draw Lemire's method rejects: it and all after it are void.
         return m >> 32, int(bad[0]) if bad.size else len(qs)
-
-    def bounded_run(self, spans) -> np.ndarray:
-        """bounded(span) for each span in order, as one uint64 array.
-
-        Spans below 2**32 - 1 take consecutive half-words, drawn by one
-        bounded_at up to the first rejection; the draws from there on, and
-        runs with wider spans, are made one by one.
-        """
-        spans = np.asarray(spans, dtype=np.uint64)
-        out = np.zeros(spans.size, dtype=np.uint64)
-        live = np.flatnonzero(spans)  # a span of 0 consumes nothing
-        ok = 0
-        if live.size and spans.max() < _U32:
-            start = self.pos, self.q
-            m, ok = self.bounded_at(np.arange(self.halves(live.size), self.q), spans[live])
-            out[live[:ok]] = m[:ok]
-            if ok < live.size:
-                self.rewind(*start)
-                self.halves(ok)
-        out[live[ok:]] = [self.bounded(int(s)) for s in spans[live[ok:]]]
-        return out

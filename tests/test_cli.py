@@ -266,19 +266,24 @@ def test_solve_rejects_unknown_operator(triangle_file):
     assert proc.returncode == 2
 
 
+def _assert_one_line_exit_2(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("tspga: "), proc.stderr
+
+
 def test_unknown_flag_is_exit_2(triangle_file):
     proc = run_cli("solve", triangle_file, "--bogus", "1")
-    assert proc.returncode == 2
+    _assert_one_line_exit_2(proc)
 
 
 def test_non_integer_flag_value_is_exit_2(triangle_file):
     proc = run_cli("solve", triangle_file, "--pop", "many")
-    assert proc.returncode == 2
+    _assert_one_line_exit_2(proc)
 
 
 def test_missing_subcommand_is_exit_2():
     proc = run_cli()
-    assert proc.returncode == 2
+    _assert_one_line_exit_2(proc)
 
 
 # ---------------------------------------------------------------- config file

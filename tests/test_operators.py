@@ -102,6 +102,14 @@ def test_rsm_rejects_invalid_points():
         mutate_rsm([0, 1, 2])  # no points and no rng to draw them
 
 
+def test_hprm_without_rng_needs_zero_probability():
+    # With points given, only Pm > 0 makes swap draws that need a stream.
+    t = [0, 1, 2, 3, 4, 5, 6, 7]
+    with pytest.raises(ValueError, match="rng"):
+        mutate_hprm(t, 0.3, pts=(2, 6))
+    assert mutate_hprm(t, 0.0, pts=(2, 6)).tolist() == [0, 1, 6, 5, 4, 3, 2, 7]
+
+
 # ---------------------------------------------------------------- PSM
 
 def test_psm_zero_probability_is_identity_but_draws_n():
@@ -501,6 +509,30 @@ def test_array_plan_equals_scalar_plan(operator, pm, crossover_rate):
         assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [92_681, 92_682])
+def test_array_plan_leaves_points_of_32_bits_to_the_scalar_plan(monkeypatch, n):
+    # From n = 92,682 a point's span passes 2**32 - 1 and takes full words,
+    # so a run of half-words cannot serve it. The calls of bounded_at are
+    # counted: a run over such spans would wrap its threshold, reject early
+    # and reach the scalar plan by luck.
+    calls = []
+    bounded_at = _RawBlock.bounded_at
+    monkeypatch.setattr(_RawBlock, "bounded_at",
+                        lambda blk, qs, spans: calls.append(n) or bounded_at(blk, qs, spans))
+    for operator, pm, buffered in itertools.product(["RSM", "HPRM"], [0.0, 1e-4], [False, True]):
+        array_rng, scalar_rng = RngStream(buffered), RngStream(buffered)
+        if buffered:  # leaves the high half-word buffered
+            assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
+        with array_rng.block(1), scalar_rng.block(1):
+            crossed = array_rng.random_array(5) < 0.5
+            assert np.array_equal(crossed, scalar_rng.random_array(5) < 0.5)
+            array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+            _assert_same_plan(array_plan, _plan(n, operator, pm, crossed.tolist(), scalar_rng))
+            assert _block_end(array_rng) == _block_end(scalar_rng), (operator, pm, buffered)
+        assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+    assert bool(calls) == (n < 92_682)
+
+
 class _Words:
     """Bit generator stand-in for _RawBlock: fixed raw words, served in order."""
 
@@ -573,9 +605,9 @@ def _craft_rejection(operator, kind, where, buffered):
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_array_plan_resolves_every_rejection(operator, kind, where, buffered):
-    # Cuts and points rejected in a run of half-words (RSM) or in the walk
-    # (PSM, HPRM) are redrawn on the spot; a rejected partner sends its
-    # child and the rest back to the scalar plan.
+    # Cuts and points rejected in the walk (PSM, HPRM) are redrawn on the
+    # spot; a rejected cut or point in a run of half-words (RSM) or a
+    # rejected partner sends the whole generation back to the scalar plan.
     words, half = _craft_rejection(operator, kind, where, buffered)
     array_rng, scalar_rng = _on_words(words, buffered, half), _on_words(words, buffered, half)
     array_plan = _plan_block(REJECT_N, operator, 0.3, REJECT_CROSSED, array_rng)
@@ -597,10 +629,10 @@ def rejections(monkeypatch):
             seen.append(span)
         return value
 
-    def counted_bounded_at(self, qs, span):
-        values, bad = bounded_at(self, qs, span)
+    def counted_bounded_at(self, qs, spans):
+        values, bad = bounded_at(self, qs, spans)
         if bad < len(qs):
-            seen.append(span)
+            seen.append(int(np.broadcast_to(spans, len(qs))[bad]))
         return values, bad
 
     monkeypatch.setattr(_RawBlock, "bounded", counted_bounded)
@@ -612,6 +644,7 @@ def rejections(monkeypatch):
 # partner draw with 0.00005 %. Each seed below was chosen because its
 # generation meets a real rejection of the named draw.
 @pytest.mark.parametrize("operator,seed,kind", [
+    ("RSM", 66, "cut"), ("RSM", 71, "point"),
     ("PSM", 156, "cut"), ("PSM", 183, "partner"),
     ("HPRM", 99, "cut"), ("HPRM", 36, "point"), ("HPRM", 2173, "partner"),
 ])

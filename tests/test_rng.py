@@ -190,24 +190,39 @@ def test_nested_block_is_the_outer_block():
     assert _state(blocked) == _state(direct)
 
 
-# Spans (values minus one) of integer draws; 2**31 rejects about half of its
-# half-words, so a run of them meets many rejections.
-NARROW_SPANS = [0, 1, 51, 1377, 12_502_499, 2**31]
+# Spans (values minus one) of integer draws that take one half-word each;
+# 2**31 rejects about half of its half-words, so a run of them meets many
+# rejections. Spans of 0 and full-word spans are covered by
+# test_block_draws_equal_direct_draws.
+NARROW_SPANS = [1, 51, 1377, 12_502_499, 2**31]
 
 
-@pytest.mark.parametrize("spans", [NARROW_SPANS, [s - 1 for s in RANGES]], ids=["narrow", "all"])
 @pytest.mark.parametrize("buffer_full", [False, True])
-def test_block_bounded_run_equals_bounded_draws(spans, buffer_full):
+def test_block_bounded_at_equals_bounded_draws(buffer_full):
+    # A run of placed half-words gives bounded()'s draws up to the first
+    # draw bounded() rejects, and bad names that draw.
     meta = np.random.default_rng(7)
+    outcomes = set()
     for trial in range(60):
-        run = [spans[i] for i in meta.integers(len(spans), size=int(meta.integers(1, 40)))]
+        picks = meta.integers(len(NARROW_SPANS), size=int(meta.integers(1, 40)))
+        run = [NARROW_SPANS[i] for i in picks]
         array_rng, scalar_rng = RngStream(trial), RngStream(trial)
         if buffer_full:
             assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
         with array_rng.block(1), scalar_rng.block(1):
-            got = array_rng._block.bounded_run(run)
-            assert got.tolist() == [scalar_rng._block.bounded(span) for span in run]
-        assert _state(array_rng) == _state(scalar_rng)
+            blk, ref = array_rng._block, scalar_rng._block
+            values, bad = blk.bounded_at(np.arange(blk.halves(len(run)), blk.q),
+                                         np.array(run, dtype=np.uint64))
+            expected, rejected = [], []
+            for span in run:
+                q = ref.q
+                expected.append(ref.bounded(span))
+                rejected.append(ref.q - q > 1)
+        first = rejected.index(True) if True in rejected else len(run)
+        assert bad == first, (trial, run)
+        assert values[:bad].tolist() == expected[:bad]
+        outcomes.add(bad < len(run))
+    assert outcomes == {False, True}
 
 
 def test_block_half_words_placed_first_are_drawn_later():
