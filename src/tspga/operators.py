@@ -262,7 +262,10 @@ def mutate_psm(t, pm, rng: RngStream) -> np.ndarray:
     are consumed regardless of pm, batched as one array, with partner draws
     following in position order.
     """
-    return _mutate_one(t, "PSM", _check_probability(pm), None, rng)
+    pm = _check_probability(pm)
+    if rng is None:
+        raise ValueError("an rng must be supplied for the probability draws")
+    return _mutate_one(t, "PSM", pm, None, rng)
 
 
 def mutate_hprm(t, pm, pts=None, rng: RngStream | None = None) -> np.ndarray:

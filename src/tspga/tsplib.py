@@ -52,16 +52,20 @@ class Instance:
         object.__setattr__(self, "coords", coords)
         if self.edge_weight_kind != "EUC_2D":
             raise TsplibParseError(f"unsupported edge weight kind {self.edge_weight_kind!r}")
-        # No edge exceeds the bounding-box diagonal plus one, so this keeps
-        # every closed tour's length below the int64 limit. Python floats
-        # overflow to inf without a warning.
-        (x0, y0), (x1, y1) = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
-        diagonal = hypot(x1 - x0, y1 - y0)
-        if not self.dimension * (diagonal + 1.0) < 2.0**63:
+        # Keeps every closed tour's length below the int64 limit. Python
+        # floats overflow to inf without a warning.
+        bound = _edge_bound(coords)
+        if not self.dimension * bound < 2.0**63:
             raise TsplibParseError(
-                f"coordinates span {diagonal:.6g}; a {self.dimension}-city tour length "
+                f"coordinates span {bound - 1.0:.6g}; a {self.dimension}-city tour length "
                 "could overflow 64 bits"
             )
+
+
+def _edge_bound(coords: np.ndarray) -> float:
+    """The bounding-box diagonal plus one, which no EUC_2D edge here reaches."""
+    (x0, y0), (x1, y1) = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+    return hypot(x1 - x0, y1 - y0) + 1.0
 
 
 def parse_instance(text: str) -> Instance:
@@ -180,15 +184,18 @@ def _euc_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def build_distance_matrix(inst: Instance) -> np.ndarray:
-    """Pairwise EUC_2D distances as an (n, n) int64 array, read-only.
+    """Pairwise EUC_2D distances as an (n, n) integer array, read-only.
 
-    Symmetric with a zero diagonal by construction. Filled in row blocks of
-    about _DM_BLOCK_ELEMENTS elements, so the memory beyond the matrix
-    itself does not grow with n.
+    The entries are int32 when the bounding-box diagonal plus one is below
+    2**31, so that no edge can exceed int32, and int64 otherwise. Sums of
+    many entries need an int64 accumulator: tour_length and tour_lengths
+    use one. Symmetric with a zero diagonal by construction. Filled in row
+    blocks of about _DM_BLOCK_ELEMENTS elements, so the memory beyond the
+    matrix itself does not grow with n.
     """
     x, y = inst.coords[:, 0], inst.coords[:, 1]
     n = inst.dimension
-    d = np.empty((n, n), dtype=np.int64)
+    d = np.empty((n, n), dtype=np.int32 if _edge_bound(inst.coords) < 2.0**31 else np.int64)
     rows = max(1, _DM_BLOCK_ELEMENTS // n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
@@ -218,7 +225,7 @@ def tour_length(dm: np.ndarray, tour) -> int:
     n = dm.shape[0]
     if not is_permutation(t, n):
         raise ValueError(f"tour is not a permutation of 0..{n - 1}")
-    return int(dm[t[:-1], t[1:]].sum() + dm[t[-1], t[0]])
+    return int(dm[t[:-1], t[1:]].sum(dtype=np.int64) + dm[t[-1], t[0]])
 
 
 def closed_tour_length(inst: Instance, tour) -> int:
@@ -237,9 +244,18 @@ def closed_tour_length(inst: Instance, tour) -> int:
 
 
 def tour_lengths(dm: np.ndarray, tours) -> np.ndarray:
-    """Closed-tour lengths for a batch, one tour per row. Rows assumed valid."""
+    """Closed-tour lengths for a batch, one tour per row, as int64.
+
+    Rows are assumed valid; a city index of n or more raises IndexError.
+    All edges, closing ones included, are one gather from the flat matrix
+    at t*n + next(t), indexed in intp so that narrow tour types cannot
+    overflow. A matrix that is not C-contiguous is copied on every call.
+    """
     t = np.asarray(tours)
-    return dm[t[:, :-1], t[:, 1:]].sum(axis=1) + dm[t[:, -1], t[:, 0]]
+    flat = np.multiply(t, dm.shape[0], dtype=np.intp)
+    flat[:, :-1] += t[:, 1:]
+    flat[:, -1] += t[:, 0]
+    return dm.reshape(-1)[flat].sum(axis=1, dtype=np.int64)
 
 
 def parse_tour(text: str, dimension: int | None = None) -> np.ndarray:

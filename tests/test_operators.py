@@ -110,6 +110,13 @@ def test_hprm_without_rng_needs_zero_probability():
     assert mutate_hprm(t, 0.0, pts=(2, 6)).tolist() == [0, 1, 6, 5, 4, 3, 2, 7]
 
 
+def test_psm_without_rng_is_a_value_error():
+    # PSM makes n probability draws at every Pm, Pm 0 included.
+    for pm in (0.3, 0.0):
+        with pytest.raises(ValueError, match="rng"):
+            mutate_psm([0, 1, 2, 3], pm, None)
+
+
 # ---------------------------------------------------------------- PSM
 
 def test_psm_zero_probability_is_identity_but_draws_n():

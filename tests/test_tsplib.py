@@ -7,10 +7,12 @@ import tspga.data
 from tspga import (
     Instance,
     InvalidTourError,
+    Population,
     RngStream,
     TsplibParseError,
     build_distance_matrix,
     closed_tour_length,
+    evaluate,
     is_permutation,
     load_tour,
     parse_instance,
@@ -102,6 +104,53 @@ def test_widest_accepted_span_scores_without_overflow():
     inst = _instance([(-2e18, 0.0), (2e18, 0.0)])
     assert closed_tour_length(inst, [0, 1]) == 8 * 10**18
     assert tour_length(build_distance_matrix(inst), [0, 1]) == 8 * 10**18
+
+
+@pytest.mark.parametrize("x,dtype", [
+    (2.0**31 - 1.5, np.int32),   # diagonal + 1 just below 2**31: edge 2**31 - 1
+    (2.0**31 - 1.0, np.int64),   # diagonal + 1 at 2**31
+    (2.0**31 - 0.5, np.int64),   # the edge itself reaches 2**31
+])
+def test_matrix_entries_are_int32_below_the_bound(x, dtype):
+    inst = _instance([(0.0, 0.0), (x, 0.0)])
+    dm = build_distance_matrix(inst)
+    assert dm.dtype == dtype
+    assert int(dm[0, 1]) == int(x + 0.5)
+    # Two edges near 2**31 overflow int32 unless summed in int64.
+    assert tour_length(dm, [0, 1]) == closed_tour_length(inst, [0, 1]) == 2 * int(x + 0.5)
+    assert tour_lengths(dm, [[0, 1], [1, 0]]).tolist() == [2 * int(x + 0.5)] * 2
+
+
+def test_sums_accumulate_in_int64():
+    rng = np.random.default_rng(31)
+    n = 5000
+    inst = _instance(rng.uniform(0.0, 1e6, size=(n, 2)))
+    dm = build_distance_matrix(inst)
+    assert dm.dtype == np.int32
+    tours = np.stack([rng.permutation(n) for _ in range(4)])
+    want = [closed_tour_length(inst, t) for t in tours]
+    assert min(want) > np.iinfo(np.int32).max
+    assert tour_lengths(dm, tours).tolist() == want
+    assert [tour_length(dm, t) for t in tours] == want
+    assert evaluate(Population(tours), dm).lengths.tolist() == want
+
+
+@pytest.mark.parametrize("layout", ["int64", "int64 transposed", "int32"])
+@pytest.mark.parametrize("tour_type", [np.int16, np.int32, np.int64])
+def test_tour_lengths_do_not_depend_on_layout_or_tour_type(layout, tour_type):
+    # n * n exceeds int16, so indices computed in the tours' type would wrap.
+    n = 300
+    rng = np.random.default_rng(7)
+    dm = rng.integers(0, 2**20, size=(n, n)).astype(layout.split()[0])
+    if layout.endswith("transposed"):
+        dm = dm.T
+        assert not dm.flags.c_contiguous
+    t = np.stack([rng.permutation(n) for _ in range(6)]).astype(tour_type)
+    want = dm[t[:, :-1], t[:, 1:]].sum(1) + dm[t[:, -1], t[:, 0]]
+    assert tour_lengths(dm, t).tolist() == want.tolist()
+    t[2, 5] = n
+    with pytest.raises(IndexError):
+        tour_lengths(dm, t)
 
 
 def test_triangle_distance_matrix(triangle_dm):
