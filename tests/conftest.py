@@ -60,6 +60,11 @@ def cli_env():
     return env
 
 
+# Bytes a fuzz edit inserts: digits, signs, separators, keywords' letters,
+# and bytes that are not UTF-8.
+FUZZ_BYTES = b"0123456789-+.eE: \t\nDIMENSIONTOURSECaf\xff\xc3\x00"
+
+
 TRIANGLE_TSP = """\
 NAME: triangle
 TYPE: TSP

@@ -4,11 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TRIANGLE_TSP, cli_env
+from conftest import FUZZ_BYTES, TRIANGLE_TSP, cli_env
 
 import tspga.data
 from tspga import TsplibParseError, load_instance, load_tour
@@ -147,17 +148,12 @@ def test_validate_50k_cities_in_bounded_memory(tmp_path):
     assert int(peak_kb) < 300 * 1024
 
 
-# Bytes a fuzz edit inserts: digits, signs, separators, keywords' letters,
-# and bytes that are not UTF-8.
-_FUZZ_BYTES = b"0123456789-+.eE: \t\nDIMENSIONTOURSECaf\xff\xc3\x00"
-
-
 def _fuzz_edit(data: bytes, rng) -> bytes:
     """data with one to three seeded edits: delete, insert, replace or splice."""
     b = bytearray(data)
     for _ in range(int(rng.integers(1, 4))):
         pos = int(rng.integers(0, len(b) + 1))
-        byte = _FUZZ_BYTES[int(rng.integers(0, len(_FUZZ_BYTES)))]
+        byte = FUZZ_BYTES[int(rng.integers(0, len(FUZZ_BYTES)))]
         kind = int(rng.integers(0, 4))
         if kind == 0:
             del b[pos:pos + 1]
@@ -194,6 +190,25 @@ def test_validate_fuzzed_inputs_fail_cleanly(tmp_path, capsys, target):
         assert err.count("\n") == (code != 0)
         assert (out == "") == (code != 0)
     assert codes == ({0, 1} if target == "instance" else {0, 1, 3})
+
+
+@pytest.mark.parametrize("section", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("target,tail", [
+    ("instance", "EOF\n"), ("tour", "EOF\n"), ("tour", "-1\nEOF\n"),
+], ids=["instance", "tour", "tour-terminated"])
+def test_validate_empty_section_is_one_line(tmp_path, capsys, target, tail, section):
+    # A section with no data is a count or terminator error: one line, no warning.
+    inst, tour = tmp_path / "t.tsp", tmp_path / "t.tour"
+    head = "DIMENSION: 2\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n"
+    inst.write_text(head + section + tail if target == "instance" else TRIANGLE_TSP)
+    tour.write_text("DIMENSION: 3\nTOUR_SECTION\n" + (section + tail if target == "tour" else "1 2 3 -1\n"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["validate", str(inst), str(tour)])
+    out, err = capsys.readouterr()
+    assert code in (1, 3)
+    assert out == "" and err.count("\n") == 1 and err.startswith("tspga: ")
+    assert caught == []
 
 
 # ---------------------------------------------------------------- solve

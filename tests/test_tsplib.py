@@ -1,5 +1,7 @@
 """Instance and tour parsing, distances, tour lengths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,24 @@ def test_duplicate_city_index_rejected():
 def test_non_finite_coordinate_rejected(old, new, line):
     with pytest.raises(TsplibParseError, match=f"line {line}: non-finite"):
         parse_instance(TRIANGLE_TSP.replace(old, new))
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_instance,
+     "DIMENSION: 1000000000000\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 3 0\n3 0 4\nEOF\n",
+     "DIMENSION is 1000000000000 but NODE_COORD_SECTION has 3 cities"),
+    (parse_tour, "DIMENSION: 1000000000000\nTOUR_SECTION\n1\n2\n3\n-1\nEOF\n",
+     "tour lists 3 cities, expected 1000000000000"),
+], ids=["instance", "tour"])
+def test_declared_dimension_is_not_allocated_before_the_count_matches(parse, text, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TsplibParseError, match=f"^{message}$"):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("x", ["1e300", "4e18"])
