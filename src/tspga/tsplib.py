@@ -8,6 +8,11 @@ _euc_2d, and has two users that give the same integers for the same pair:
 build_distance_matrix, whose matrix the GA gathers from, and
 closed_tour_length, which scores one tour from consecutive coordinates in
 O(n) time and memory.
+
+A well-formed NODE_COORD_SECTION or TOUR_SECTION is read in one numpy pass
+and checked as arrays. When that read fails or a check does not pass, the
+line loop reads the section instead and its error names the first bad line,
+so the result or the error is the same either way.
 """
 
 from __future__ import annotations
@@ -74,17 +79,20 @@ def parse_instance(text: str) -> Instance:
     Requires DIMENSION, EDGE_WEIGHT_TYPE: EUC_2D and a NODE_COORD_SECTION
     with one "index x y" line per city, 1-based indices and finite
     coordinates, terminated by an EOF keyword or the end of the text.
-    Header keys not understood (COMMENT and friends) are ignored. Errors
-    name the 1-based line number.
+    Header keys not understood (COMMENT and friends) are ignored. A
+    well-formed section is read in one numpy pass; otherwise the line loop
+    reads it, and its errors name the first bad line's 1-based number.
     """
     name = ""
     dimension: int | None = None
     weight_type: str | None = None
     coords: dict[int, tuple[float, float]] = {}
+    ordered: np.ndarray | None = None
     in_coords = False
     done = False
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
@@ -98,6 +106,9 @@ def parse_instance(text: str) -> Instance:
                 if dimension is None:
                     raise TsplibParseError(f"line {lineno}: NODE_COORD_SECTION before DIMENSION")
                 in_coords = True
+                ordered = _read_coord_section(lines[lineno:], dimension)
+                if ordered is not None:
+                    break
                 continue
             key, _, value = line.partition(":")
             if not _:
@@ -144,12 +155,73 @@ def parse_instance(text: str) -> Instance:
         raise TsplibParseError("missing EDGE_WEIGHT_TYPE header")
     if not in_coords:
         raise TsplibParseError("missing NODE_COORD_SECTION")
-    if len(coords) != dimension:
-        raise TsplibParseError(
-            f"DIMENSION is {dimension} but NODE_COORD_SECTION has {len(coords)} cities"
-        )
-    ordered = np.array([coords[i] for i in range(1, dimension + 1)], dtype=float)
+    if ordered is None:
+        if len(coords) != dimension:
+            raise TsplibParseError(
+                f"DIMENSION is {dimension} but NODE_COORD_SECTION has {len(coords)} cities"
+            )
+        ordered = np.array([coords[i] for i in range(1, dimension + 1)], dtype=float)
     return Instance(name=name, dimension=dimension, coords=ordered, edge_weight_kind=weight_type)
+
+
+# One NODE_COORD_SECTION row, "index x y", as np.loadtxt reads it.
+_COORD_ROW = np.dtype([("index", np.int64), ("xy", np.float64, (2,))])
+
+
+def _read_coord_section(lines: list[str], dimension: int) -> np.ndarray | None:
+    """The (dimension, 2) coordinates of a well-formed section, else None.
+
+    lines follow the NODE_COORD_SECTION keyword. One np.loadtxt call reads
+    them; its numbers are a subset of int()'s and float()'s, with the same
+    values, and it splits a line where str.split does. Every check the line
+    loop makes must pass before a result is returned; is_permutation sizes
+    nothing by dimension until the row count equals it.
+    """
+    end = len(lines)
+    while end and not lines[end - 1].strip():
+        end -= 1
+    if end and lines[end - 1].strip() == "EOF":
+        end -= 1
+    section = lines[:end]
+    if not any(map(str.strip, section)):
+        return None  # np.loadtxt would warn on stderr about a section with no rows
+    try:
+        rows = np.loadtxt(section, dtype=_COORD_ROW, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    city, xy = rows["index"] - 1, rows["xy"]
+    if not (is_permutation(city, dimension) and np.isfinite(xy).all()):
+        return None
+    coords = np.empty((dimension, 2))
+    coords[city] = xy
+    return coords
+
+
+def _read_tour_section(
+    lines: list[str], declared: int | None, dimension: int | None
+) -> np.ndarray | None:
+    """The 0-based tour of a well-formed section, else None.
+
+    lines follow the TOUR_SECTION keyword. One split and one int64
+    conversion, which calls int() on each token as the line loop does,
+    read them. Every check the loop makes must pass before a result is
+    returned.
+    """
+    end = len(lines)
+    while end and lines[end - 1].strip() in ("", "EOF"):
+        end -= 1
+    try:
+        values = np.array(" ".join(lines[:end]).split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    # Only the last token may be the -1 terminator; an earlier -1 fails is_permutation.
+    if values.size == 0 or values[-1] != -1:
+        return None
+    tour = values[:-1] - 1
+    n = declared if declared is not None else tour.size
+    if (dimension is not None and n != dimension) or not is_permutation(tour, n):
+        return None
+    return tour
 
 
 def _read_text(path: str | Path) -> str:
@@ -249,9 +321,12 @@ def tour_lengths(dm: np.ndarray, tours) -> np.ndarray:
     Rows are assumed valid; a city index of n or more raises IndexError.
     All edges, closing ones included, are one gather from the flat matrix
     at t*n + next(t), indexed in intp so that narrow tour types cannot
-    overflow. A matrix that is not C-contiguous is copied on every call.
+    overflow. A matrix that is not C-contiguous has no flat view, so it is
+    gathered at (t, next(t)) instead of being copied.
     """
     t = np.asarray(tours)
+    if not dm.flags.c_contiguous:
+        return dm[t, np.roll(t, -1, axis=1)].sum(axis=1, dtype=np.int64)
     flat = np.multiply(t, dm.shape[0], dtype=np.intp)
     flat[:, :-1] += t[:, 1:]
     flat[:, -1] += t[:, 0]
@@ -264,20 +339,26 @@ def parse_tour(text: str, dimension: int | None = None) -> np.ndarray:
     The section holds 1-based indices terminated by -1. The result must be
     a permutation of 1..n where n is the declared DIMENSION header if
     present, else the number of indices read; a caller-supplied dimension
-    is cross-checked against it. Violations raise InvalidTourError.
+    is cross-checked against it. Violations raise InvalidTourError. A
+    well-formed section is read in one numpy pass; otherwise the line loop
+    reads it, and its errors name the first bad line.
     """
     declared: int | None = None
     indices: list[int] = []
     in_tour = False
     terminated = False
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line == "EOF":
             continue
         if not in_tour:
             if line == "TOUR_SECTION":
                 in_tour = True
+                tour = _read_tour_section(lines[lineno:], declared, dimension)
+                if tour is not None:
+                    return tour
                 continue
             key, _, value = line.partition(":")
             if _ and key.strip() == "DIMENSION":

@@ -167,7 +167,14 @@ def test_tour_lengths_do_not_depend_on_layout_or_tour_type(layout, tour_type):
         assert not dm.flags.c_contiguous
     t = np.stack([rng.permutation(n) for _ in range(6)]).astype(tour_type)
     want = dm[t[:, :-1], t[:, 1:]].sum(1) + dm[t[:, -1], t[:, 0]]
-    assert tour_lengths(dm, t).tolist() == want.tolist()
+    tracemalloc.start()
+    try:
+        got = tour_lengths(dm, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want.tolist()
+    assert peak < dm.nbytes / 4  # no copy of the matrix, whatever its layout
     t[2, 5] = n
     with pytest.raises(IndexError):
         tour_lengths(dm, t)
