@@ -53,30 +53,33 @@ def evolve(cfg: GaConfig, dm: np.ndarray, initial: Population, rng: RngStream) -
         raise ValueError(
             f"initial population has {initial.size} members, config says {cfg.population_size}"
         )
-    pop = initial.copy()
-    evaluate(pop, dm)
+    # Nothing below writes a population in place, so the initial tours are
+    # shared, not copied; evaluating fills only this container's lengths.
+    pop = evaluate(Population(initial.tours, initial.lengths), dm)
 
-    best_idx = int(np.argmin(pop.lengths))
+    best_idx = int(pop.lengths.argmin())
     best_tour = pop.tours[best_idx].copy()
     best_length = int(pop.lengths[best_idx])
 
     trace = []
     for gen in range(1, cfg.max_generations + 1):
         children = variation(pop, cfg, dm, rng)
-        evaluate(children, dm)
+        lengths = evaluate(children, dm).lengths
 
-        gen_best_idx = int(np.argmin(children.lengths))
-        gen_best = int(children.lengths[gen_best_idx])
+        gen_best_idx = int(lengths.argmin())
+        gen_best = int(lengths[gen_best_idx])
         if gen_best < best_length:
             best_length = gen_best
             best_tour = children.tours[gen_best_idx].copy()
-        trace.append(TraceRecord(gen, best_length, gen_best, float(children.lengths.mean())))
+        # np.mean's value: the float64 pairwise sum divided by the count.
+        gen_mean = float(np.add.reduce(lengths, dtype=np.float64) / lengths.size)
+        trace.append(TraceRecord(gen, best_length, gen_best, gen_mean))
 
         merged_tours = np.concatenate((children.tours, pop.tours))
-        merged_lengths = np.concatenate((children.lengths, pop.lengths))
+        merged_lengths = np.concatenate((lengths, pop.lengths))
         chosen = []
         if cfg.elitism_count:
-            chosen.append(np.argsort(merged_lengths, kind="stable")[:cfg.elitism_count])
+            chosen.append(merged_lengths.argsort(kind="stable")[:cfg.elitism_count])
         remainder = cfg.population_size - cfg.elitism_count
         if remainder:
             chosen.append(wheel_index(_wheel(merged_lengths), rng.random_array(remainder)))

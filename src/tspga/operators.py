@@ -15,7 +15,7 @@ through the stream they are given.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import ceil
+from math import ceil, isqrt
 
 import numpy as np
 
@@ -49,17 +49,18 @@ def draw_cut_points(n: int, rng: RngStream) -> tuple[int, int]:
 
 
 def _unrank_pairs(n: int, r, strict):
-    """Pairs of ranks r (int or int array) as floats: cut pairs where strict, else mutation pairs.
+    """Pairs of ranks r: cut pairs where strict, else mutation pairs; ints for an int r.
 
     Ranks count row-major over pairs; reversed, the row sizes are 1, 2, ...,
-    so the row is a triangular root: a float square root corrected by one
-    either way. Exact while n(n+1)/2 stays below 2**52.
+    so the row is a triangular root: math.isqrt for an int, else a float
+    square root, which is exact while n(n+1)/2 stays below 2**47.
     """
     rows = n - strict
     rev = rows * (rows + 1) // 2 - 1 - r
-    k = ((8 * rev + 1) ** 0.5 - 1) * 0.5 // 1
-    t = k * (k + 1) * 0.5  # where row k starts; row k + 1 starts at t + k + 1
-    k = k + (t + k + 1 <= rev) - (t > rev)
+    if isinstance(rev, int):
+        k = (isqrt(8 * rev + 1) - 1) // 2
+        return rows - 1 - k, n - 1 - rev + k * (k + 1) // 2
+    k = np.floor(np.sqrt(8 * rev + 1) * 0.5 - 0.5)
     return rows - 1 - k, n - 1 - rev + k * (k + 1) * 0.5
 
 
@@ -115,17 +116,15 @@ def _swap_rows(tours: np.ndarray, rows, i, j) -> None:
     if rows.size == 0:
         return
     n = tours.shape[1]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    order = np.argsort(rank, kind="stable")
-    fi = (rows * n + np.asarray(i))[order]
-    fj = (rows * n + np.asarray(j))[order]
+    rank = np.arange(rows.size) - rows.searchsorted(rows)
+    order = rank.argsort(kind="stable")
+    fi = (rows * n + i)[order]
+    fj = (rows * n + j)[order]
     flat = tours.reshape(-1)
     lo = 0
-    for hi in np.cumsum(np.bincount(rank)).tolist():
+    for hi in np.bincount(rank).cumsum().tolist():
         si, sj = fi[lo:hi], fj[lo:hi]
-        held = flat[si]
-        flat[si] = flat[sj]
-        flat[sj] = held
+        flat[si], flat[sj] = flat[sj], flat[si]
         lo = hi
 
 
@@ -187,45 +186,69 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
     cspan, pspan = n * (n - 1) // 2 - 1, n * (n + 1) // 2 - 1
     if blk is None or not 0 < cspan < pspan < 2**32 - 1:
         return _plan(n, op, pm, crossed, rng)
-    start = blk.pos, blk.q
+    start = blk.mark()
     k = _swap_draws(op, n, pm, n - 1)
     if k == 0:
         point_slot = np.cumsum(crossed + 1) - 1
         strict = np.ones(point_slot[-1] + 1, dtype=bool)  # cut draws, the rest points
         strict[point_slot] = False
         spans = np.where(strict, cspan, pspan).astype(np.uint64)
-        ranks, bad = blk.bounded_at(np.arange(blk.halves(spans.size), blk.q), spans)
+        ranks, bad = blk.bounded_at(blk.halves(spans.size), spans)
         if bad == spans.size:
             pairs = np.array(_unrank_pairs(n, ranks.astype(np.int64), strict), dtype=np.intp).T
             return pairs[strict], pairs[point_slot], [], [], []
     else:
         hits = blk.below(pm)
-        a, b = 0, n - 1
-        cut_ranks, walk = [], []
+        randint = rng.randint
+        cut_ranks, point_ranks, walk, buffered_at = [], [], [], []
         i = h = swaps = 0
         for child, cross in enumerate(crossed.tolist()):
             if cross:
-                cut_ranks.append(rng.randint(0, cspan))
+                cut_ranks.append(randint(0, cspan))
             if op == "HPRM":
-                a, b = _unrank_pairs(n, rng.randint(0, pspan), False)
-                k = _swap_draws(op, n, pm, int(b - a))
-            d = blk.reserve(k)
+                point_ranks.append(randint(0, pspan))
+                a, b = _unrank_pairs(n, point_ranks[-1], False)
+                k = (b - a + 2) // 2  # _swap_draws with pm > 0
+            # The child's k probability words from d, then the words split for
+            # its partners' half-words: blk.reserve(k) and blk.halves(h), inline.
+            d = blk.pos
+            e = d + k
+            if e > blk.raw.size:
+                blk.grow(e)
             i = bisect_left(hits, d, i + h)
-            h = bisect_left(hits, d + k, i) - i
-            # Hit and half-word indices as offsets from the child's first swap.
-            walk += (h, a, b, child, d, i - swaps, blk.halves(h) - swaps)
-            swaps += h
-        walk = np.array(walk, dtype=np.int64).reshape(-1, 7)
-        a, b, rows, d, hit, half = np.repeat(walk[:, 1:], walk[:, 0], axis=0).T
+            h = bisect_left(hits, e, i) - i
+            if h:
+                buffered = blk.has_half
+                if buffered:  # the first partner takes the buffered half
+                    buffered_at += (swaps, blk.half_at)
+                split = (h - buffered + 1) // 2
+                if split:
+                    if e + split > blk.raw.size:
+                        blk.grow(e + split)
+                    blk.half_at = 2 * (e + split) - 1
+                blk.has_half = bool((h + buffered) & 1)
+                # Hit and half-word indices as offsets from the child's first swap.
+                walk += (h, child, d, i - swaps, 2 * e - buffered - swaps)
+                swaps += h
+                e += split
+            blk.pos = e
+        blk.q += swaps
+        walk = np.array(walk, dtype=np.int64).reshape(-1, 5)
+        rows, d, hit, at = np.repeat(walk[:, 1:], walk[:, 0], axis=0).T
         swap = np.arange(swaps)
-        partners, bad = blk.bounded_at(half + swap, n - 1)
+        at += swap
+        at[buffered_at[::2]] = buffered_at[1::2]
+        partners, bad = blk.bounded_at(at, n - 1)
         if bad == swaps:
+            ranks = np.array(cut_ranks + point_ranks, dtype=np.int64)
+            strict = np.arange(ranks.size) < len(cut_ranks) if point_ranks else True
+            pairs = np.array(_unrank_pairs(n, ranks, strict), dtype=np.intp).T
+            cuts, points = pairs[:len(cut_ranks)], pairs[len(cut_ranks):]
             swap_i, swap_j = blk.hit_words[hit + swap] - d, partners.astype(np.int64)
             if op == "HPRM":
-                swap_i, swap_j = _hprm_swaps(a, b, swap_i, swap_j)
-            cuts = np.array(_unrank_pairs(n, np.array(cut_ranks, dtype=np.int64), True), dtype=np.intp).T
-            return cuts, walk[:, 1:3] if op == "HPRM" else walk[:0, 1:3], rows, swap_i, swap_j
-    blk.rewind(*start)
+                swap_i, swap_j = _hprm_swaps(*points[rows].T, swap_i, swap_j)
+            return cuts, points, rows, swap_i, swap_j
+    blk.rewind(start)
     return _plan(n, op, pm, crossed.tolist(), rng)
 
 
@@ -286,35 +309,35 @@ def mutate_hprm(t, pm, pts=None, rng: RngStream | None = None) -> np.ndarray:
     return _mutate_one(t, "HPRM", pm, _resolve_pair(np.shape(t)[0], pts, rng, strict=False), rng)
 
 
-def _rotate_rows(tours: np.ndarray, shift) -> np.ndarray:
-    """New array whose row r is tours[r] rotated left by shift[r] (0..n)."""
+def _windows(tours: np.ndarray) -> np.ndarray:
+    """Every length-n window of the rows written twice, without copying.
+
+    Row r rotated left by s (0..n) is window r * 2n + s.
+    """
     m, n = tours.shape
     doubled = np.concatenate((tours, tours), axis=1)
-    # Every length-n window of the doubled rows, without copying; row r's
-    # rotation is the window starting at shift[r] inside its doubled row.
     step = doubled.itemsize
-    windows = np.ndarray((2 * m * n - n + 1, n), doubled.dtype, doubled, 0, (step, step))
-    return windows[np.arange(m) * (2 * n) + shift]
+    return np.ndarray((2 * m * n - n + 1, n), doubled.dtype, doubled, 0, (step, step))
 
 
-def _ox_rows(p1: np.ndarray, p2: np.ndarray, c1, c2) -> np.ndarray:
-    """Order crossover of each row pair, worked in the frame rotated to c2+1.
+def _ox_rows(windows: np.ndarray, first, second, c1, c2) -> np.ndarray:
+    """Order crossover of row pairs: the children of rows first[k] and second[k] of windows' tours.
 
-    Rotated left by c2+1, a child is its fill, p2's cities in scan order
-    minus the kept slice, followed by p1's slice, which ends the row.
+    Worked in the frame rotated left by c2 + 1, where a child is its fill,
+    the second parent's cities in scan order minus the kept slice, followed
+    by the first parent's slice, which ends the row.
     """
-    m, n = p1.shape
-    start = (np.asarray(c2) + 1) % n
-    fill = (np.arange(n) < (n - 1 - np.asarray(c2) + np.asarray(c1))[:, None]).reshape(-1)
-    row_base = np.arange(m)[:, None] * n
-    child = _rotate_rows(p1, start)
-    scan = _rotate_rows(p2, start)
-    in_slice = np.empty(m * n, dtype=bool)
-    in_slice[(child + row_base).reshape(-1)] = ~fill
-    keep = in_slice[(scan + row_base).reshape(-1)]
-    np.logical_not(keep, out=keep)
-    child.reshape(-1)[fill] = scan.reshape(-1).compress(keep)
-    return _rotate_rows(child, n - start)
+    n = windows.shape[1]
+    m = len(first)
+    shift = c2 + 1
+    child = windows[first * (2 * n) + shift]
+    scan = windows[second * (2 * n) + shift]
+    cities = np.arange(0, m * n, n)[:, None]  # row r's cities, offset by r * n
+    fill = (np.arange(n) < (n - 1 - c2 + c1)[:, None]).reshape(-1)
+    not_kept = np.empty(m * n, dtype=bool)
+    not_kept[(child + cities).reshape(-1)] = fill
+    child.reshape(-1)[fill] = scan.reshape(-1).compress(not_kept[(scan + cities).reshape(-1)])
+    return _windows(child)[np.arange(n, 2 * m * n, 2 * n) - shift]
 
 
 def crossover_ox(p1, p2, cuts=None, rng: RngStream | None = None) -> np.ndarray:
@@ -331,7 +354,8 @@ def crossover_ox(p1, p2, cuts=None, rng: RngStream | None = None) -> np.ndarray:
     if p1.shape != p2.shape:
         raise ValueError(f"parents differ in size: {p1.shape[0]} vs {p2.shape[0]}")
     c1, c2 = _resolve_pair(p1.shape[0], cuts, rng, strict=True)
-    return _ox_rows(p1[None], p2[None], [c1], [c2])[0]
+    pair = _windows(np.stack((p1, p2)))
+    return _ox_rows(pair, np.array([0]), np.array([1]), np.array([c1]), np.array([c2]))[0]
 
 
 def wheel_index(cum, u):
@@ -342,8 +366,8 @@ def wheel_index(cum, u):
     Shared by the scalar and batched selection paths so both spin the exact
     same wheel.
     """
-    idx = np.searchsorted(cum, np.asarray(u) * cum[-1], side="right")
-    return np.minimum(idx, cum.size - 1)
+    cum = np.asarray(cum)
+    return np.minimum(cum.searchsorted(np.asarray(u) * cum[-1], side="right"), cum.size - 1)
 
 
 def _wheel(lengths: np.ndarray) -> np.ndarray:
@@ -353,6 +377,8 @@ def _wheel(lengths: np.ndarray) -> np.ndarray:
     city at one point), they share the wheel equally, the limit of 1/L, and
     the others get no weight.
     """
+    if lengths.min() > 0:  # fitness_of's check, made once
+        return (1.0 / lengths).cumsum()
     zero = lengths == 0
     return np.cumsum(zero if zero.any() else fitness_of(lengths), dtype=float)
 
@@ -410,11 +436,13 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
     children = pop.tours[parents[0::2]]
     crossed_rows = np.flatnonzero(crossed)
     c1, c2 = np.asarray(cuts, dtype=np.intp).reshape(-1, 2).T
+    windows = _windows(pop.tours)
     step = max(1, _OX_BLOCK_ELEMENTS // n)
     for lo in range(0, crossed_rows.size, step):
         block, hi = crossed_rows[lo:lo + step], lo + step
         children[block] = _ox_rows(
-            pop.tours[parents[2 * block]], pop.tours[parents[2 * block + 1]], c1[lo:hi], c2[lo:hi]
+            windows, parents[2 * block], parents[2 * block + 1], c1[lo:hi], c2[lo:hi]
         )
+    del windows  # the doubled population, freed before the reversals' index arrays
     _apply(children, *mutation)
     return Population(children)

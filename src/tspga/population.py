@@ -116,7 +116,7 @@ def evaluate(pop: Population, dm: np.ndarray) -> Population:
             f"population dimension {pop.dimension} does not match matrix size {dm.shape[0]}"
         )
     if pop.lengths is None:
-        pop.lengths = tour_lengths(dm, pop.tours).astype(np.int64)
+        pop.lengths = tour_lengths(dm, pop.tours)
     return pop
 
 

@@ -49,12 +49,13 @@ class RngStream:
 
     def randint(self, lo: int, hi: int) -> int:
         """One uniform integer from [lo, hi], both endpoints included."""
+        blk = self._block
+        if blk is not None and _INT64_MIN <= lo <= hi <= _INT64_MAX:
+            return lo + blk.bounded(hi - lo)
         if hi < lo:
             raise ValueError(f"empty integer range [{lo}, {hi}]")
-        if self._block is not None:
-            if lo < _INT64_MIN or hi > _INT64_MAX:
-                raise ValueError(f"integer range [{lo}, {hi}] is out of bounds for int64")
-            return lo + self._block.bounded(hi - lo)
+        if blk is not None:
+            raise ValueError(f"integer range [{lo}, {hi}] is out of bounds for int64")
         return int(self._gen.integers(lo, hi + 1))
 
     def permutation(self, n: int) -> np.ndarray:
@@ -123,37 +124,52 @@ class _RawBlock:
     See Lemire, "Fast Random Integer Generation in an Interval" (2019).
 
     Doubles leave the half-word buffer alone, so a caller may place half-words
-    among them (halves, numbered in draw order) and draw from them later at
-    once (bounded_at).
+    among them (halves) and draw from them later at once (bounded_at). A
+    half-word is named by where it sits in the block read as 32-bit values:
+    word w's low half at 2w, its high half at 2w + 1, and -1 for the half
+    buffered before the block. half_at names the high half last split off a
+    word, which is buffered while has_half holds.
     """
 
     def __init__(self, bitgen, words: int, has_half, half):
         self._bitgen = bitgen
         self.raw = bitgen.random_raw(max(int(words), 1))
         self.pos = self.q = 0  # words and half-words drawn
-        self.has_half, self.half = self._has0, self._half0 = bool(has_half), int(half)
-        self._split_at: list[int] = []  # positions of the words split into halves
+        self.has_half, self.half_at = bool(has_half), -1
+        self._has0, self._half0 = self.has_half, int(half)
         self._hit_limit = -1
         self.hit_words = np.zeros(0, dtype=np.intp)
         self.hits: list[int] = []
 
+    @property
+    def half(self) -> int:
+        """The half at half_at: what numpy's buffer holds, buffered or spent."""
+        return self.raw.item(self.half_at >> 1) >> 32 if self.half_at >= 0 else self._half0
+
+    def mark(self) -> tuple:
+        """Where the draws stand, for rewind."""
+        return self.pos, self.q, self.has_half, self.half_at
+
+    def rewind(self, mark: tuple) -> None:
+        """Return to a mark, forgetting the draws made since."""
+        self.pos, self.q, self.has_half, self.half_at = mark
+
+    def grow(self, end: int) -> None:
+        """Draw more words, at least doubling the block, so that it holds end words."""
+        size = self.raw.size
+        extra = self._bitgen.random_raw(max(end - size, size))
+        new = np.flatnonzero(extra <= self._hit_limit) + size
+        self.hit_words = np.concatenate((self.hit_words, new))
+        self.hits += new.tolist()
+        self.raw = np.concatenate((self.raw, extra))
+
     def reserve(self, k: int) -> int:
         """Consume the next k words, growing the block when short; the first's position."""
-        p, size = self.pos, self.raw.size
-        if p + k > size:
-            extra = self._bitgen.random_raw(max(p + k - size, size))
-            new = np.flatnonzero(extra <= self._hit_limit) + size
-            self.hit_words = np.concatenate((self.hit_words, new))
-            self.hits += new.tolist()
-            self.raw = np.concatenate((self.raw, extra))
+        p = self.pos
+        if p + k > self.raw.size:
+            self.grow(p + k)
         self.pos = p + k
         return p
-
-    def rewind(self, pos: int, q: int) -> None:
-        """Return to an earlier pos and q, forgetting the words split since."""
-        del self._split_at[max(q - self._has0 + 1, 0) // 2:]
-        self.pos, self.q, self.has_half = pos, q, bool((q + self._has0) & 1)
-        self.half = self.raw.item(self._split_at[-1]) >> 32 if self._split_at else self._half0
 
     def double(self) -> float:
         p = self.reserve(1)  # before reading self.raw, which may grow
@@ -171,63 +187,58 @@ class _RawBlock:
         self.hits = self.hit_words.tolist()
         return self.hits
 
-    def halves(self, count: int) -> int:
-        """Draw count half-words for a later bounded_at; the number of the first."""
-        q, need = self.q, count - self.has_half  # need: half-words split from new words
+    def halves(self, count: int) -> np.ndarray:
+        """Draw count half-words for a later bounded_at; where they sit.
+
+        The buffered half comes first, then both halves of each new word.
+        """
+        buffered = self.has_half
+        split = (count - buffered + 1) // 2
+        p = self.reserve(split)
+        at = np.arange(2 * p - buffered, 2 * p - buffered + count)
+        if buffered and count:
+            at[0] = self.half_at
+        if split:
+            self.half_at = 2 * self.pos - 1
         self.q += count
-        if need > 0:
-            self._split_at += range(self.reserve((need + 1) // 2), self.pos)
-            self.has_half, self.half = bool(need & 1), self.raw.item(self.pos - 1) >> 32
-        elif count:
-            self.has_half = False
-        return q
-
-    def _half_word(self) -> int:
-        self.q += 1
-        if self.has_half:
-            self.has_half = False
-            return self.half
-        self._split_at.append(self.reserve(1))
-        word = self.raw.item(self.pos - 1)
-        self.has_half, self.half = True, word >> 32
-        return word & _U32
-
-    def _word(self) -> int:
-        p = self.reserve(1)
-        return self.raw.item(p)
+        self.has_half = bool((count + buffered) & 1)
+        return at
 
     def bounded(self, span: int) -> int:
         """Offset in [0, span], consumed as numpy's bounded integer draw."""
         if span == 0:
             return 0
-        if span < _U32:
-            excl = span + 1
-            m = self._half_word() * excl
-            if m & _U32 < excl:
-                threshold = (_U32 - span) % excl
-                while m & _U32 < threshold:
-                    m = self._half_word() * excl
-            return m >> 32
-        if span == _U32:
-            return self._half_word()
-        if span == _U64:
-            return self._word()
         excl = span + 1
-        m = self._word() * excl
-        if m & _U64 < excl:
-            threshold = (_U64 - span) % excl
-            while m & _U64 < threshold:
-                m = self._word() * excl
-        return m >> 64
+        if span <= _U32:
+            while True:
+                self.q += 1
+                if self.has_half:  # the half property, inline
+                    self.has_half, at = False, self.half_at
+                    m = (self.raw.item(at >> 1) >> 32 if at >= 0 else self._half0) * excl
+                else:  # reserve(1), inline
+                    p = self.pos
+                    if p == self.raw.size:
+                        self.grow(p + 1)
+                    self.pos, self.has_half, self.half_at = p + 1, True, 2 * p + 1
+                    m = (self.raw.item(p) & _U32) * excl
+                # Accepted when the low half reaches Lemire's threshold,
+                # (2**32 - excl) % excl, which is below excl.
+                if m & _U32 >= excl or m & _U32 >= (_U32 - span) % excl:
+                    return m >> 32
+        while True:
+            p = self.reserve(1)
+            m = self.raw.item(p) * excl
+            if m & _U64 >= excl or m & _U64 >= (_U64 - span) % excl:
+                return m >> 64
 
-    def bounded_at(self, qs, spans) -> tuple[np.ndarray, int]:
-        """Draws over spans (below 2**32 - 1) from the half-words numbered qs."""
-        words = self.raw[self._split_at]
-        split = np.stack((words & _U32, words >> 32), axis=1).reshape(-1)
+    def bounded_at(self, at, spans) -> tuple[np.ndarray, int]:
+        """Draws over spans (below 2**32 - 1) from placed half-words, named by where they sit."""
+        # Little-endian words, so that word w's low half sits at 2w on any host.
+        halves = self.raw.astype("<u8", copy=False).view("<u4")[at]
         if self._has0:
-            split = np.concatenate((np.array([self._half0], dtype=np.uint64), split))
+            halves[np.asarray(at) < 0] = self._half0
         excl = spans + 1
-        m = split[qs] * excl
+        m = halves * np.uint64(excl)  # 64-bit products
         bad = np.flatnonzero(m & _U32 < (_U32 - spans) % excl)
         # Also the first draw Lemire's method rejects: it and all after it are void.
-        return m >> 32, int(bad[0]) if bad.size else len(qs)
+        return m >> 32, int(bad[0]) if bad.size else len(at)

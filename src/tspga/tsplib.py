@@ -328,7 +328,10 @@ def tour_lengths(dm: np.ndarray, tours) -> np.ndarray:
     if not dm.flags.c_contiguous:
         return dm[t, np.roll(t, -1, axis=1)].sum(axis=1, dtype=np.int64)
     flat = np.multiply(t, dm.shape[0], dtype=np.intp)
-    flat[:, :-1] += t[:, 1:]
+    # Next cities as one shifted add over the rows run together; a row's
+    # last entry then holds the next row's first city, which is replaced.
+    flat.reshape(-1)[:-1] += t.reshape(-1)[1:]
+    flat[:-1, -1] -= t[1:, 0]
     flat[:, -1] += t[:, 0]
     return dm.reshape(-1)[flat].sum(axis=1, dtype=np.int64)
 
@@ -369,12 +372,15 @@ def parse_tour(text: str, dimension: int | None = None) -> np.ndarray:
             continue
         if terminated:
             raise TsplibParseError(f"line {lineno}: content after the -1 terminator")
-        for token in line.split():
+        tokens = line.split()
+        for k, token in enumerate(tokens, 1):
             try:
                 value = int(token)
             except ValueError:
                 raise TsplibParseError(f"line {lineno}: non-integer tour entry {token!r}") from None
             if value == -1:
+                if k < len(tokens):
+                    raise TsplibParseError(f"line {lineno}: content after the -1 terminator")
                 terminated = True
                 break
             indices.append(value)

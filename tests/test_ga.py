@@ -35,9 +35,17 @@ def test_initial_population_left_untouched(berlin52_dm):
     initial = _initial(3, 8, 52)
     tours_before = initial.tours.copy()
     cfg = GaConfig(population_size=8, max_generations=5)
-    evolve(cfg, berlin52_dm, initial, RngStream(4))
+    result = evolve(cfg, berlin52_dm, initial, RngStream(4))
     assert np.array_equal(initial.tours, tours_before)
-    assert initial.lengths is None  # evolve evaluates its own copy
+    assert initial.lengths is None  # evolve evaluates its own container
+    # Read-only tours are only read, and cached lengths stay as they were.
+    initial.tours.flags.writeable = False
+    lengths = evaluate(initial, berlin52_dm).lengths
+    lengths_before = lengths.copy()
+    again = evolve(cfg, berlin52_dm, initial, RngStream(4))
+    assert initial.lengths is lengths and np.array_equal(lengths, lengths_before)
+    assert np.array_equal(initial.tours, tours_before)
+    assert again.trace == result.trace and np.array_equal(again.best_tour, result.best_tour)
 
 
 def test_identical_population_with_psm_disabled_stays_constant(berlin52_dm):

@@ -358,7 +358,7 @@ PARSE_DIGESTS = {
     "instance edits": "6ab6106312ab01edfdb14283b3341ce692ccde187ed129c3e34d47282e8692bf",
     "tour edits": "c44a8794027135995becc4fb466d4bdcedbfc52935f2d6eeac0bcc92ee736b38",
     "instance cases": "e517ebd0e07aadbd61b72dd3d7d1a23df087dc93bee3e869dcc4ba34bd712afc",
-    "tour cases": "d778ce0b5d0bbb5d38cec8297de81e16e92acf441b82f76ccc8b2ee6320493c0",
+    "tour cases": "5bd986677e5229bf74c9f7fc613149578e893c13857669f0f37e1847e082b0fb",
     "instance 5000": "8eac0c892abb5487edb68ad48dcbac0c520af146e5ea406cdb64118fd552af47",
     "tour 5000": "73393445da17e65404d51af23058d80f84893e20484925fa5d9447dc9cbfd0e5",
 }

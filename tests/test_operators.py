@@ -26,7 +26,7 @@ from tspga import (
     variation,
     wheel_index,
 )
-from tspga.operators import _plan, _plan_block, _unrank_pairs
+from tspga.operators import _plan, _plan_block, _swap_draws, _unrank_pairs
 from tspga.rng import _RawBlock
 from conftest import ScriptedRng
 
@@ -484,7 +484,7 @@ def test_unranking_equals_isqrt_at_the_ends_of_large_ranges(n, strict):
 
 def _block_end(rng):
     blk = rng._block
-    return blk.pos, blk.has_half, blk.half
+    return blk.pos, blk.q, blk.has_half, blk.half
 
 
 def _assert_same_plan(array_plan, scalar_plan):
@@ -514,6 +514,51 @@ def test_array_plan_equals_scalar_plan(operator, pm, crossover_rate):
             _assert_same_plan(array_plan, scalar_plan)
             assert _block_end(array_rng) == _block_end(scalar_rng), (n, buffered)
         assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+    if pm == 0.05 and crossover_rate == 0.7:
+        # Whole generations on one stream (parents, gates, plan), blocks sized
+        # as variation sizes them. At pop 10 HPRM's walk grows the block in
+        # about one generation in seven; PSM's and RSM's draws fit it.
+        for n in [52, 200]:
+            array_rng, scalar_rng = RngStream(n), RngStream(n)
+            swap_draws = _swap_draws(operator, n, pm, 2 * n // 5)
+            words = 10 * (4 + swap_draws) + math.ceil(10 * swap_draws * pm)
+            grown = 0
+            for generation in range(200):
+                with array_rng.block(words), scalar_rng.block(words):
+                    assert np.array_equal(array_rng.random_array(20), scalar_rng.random_array(20))
+                    crossed = array_rng.random_array(10) < crossover_rate
+                    assert np.array_equal(crossed, scalar_rng.random_array(10) < crossover_rate)
+                    array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+                    scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
+                    _assert_same_plan(array_plan, scalar_plan)
+                    assert _block_end(array_rng) == _block_end(scalar_rng), (n, generation)
+                    grown += array_rng._block.raw.size > words
+                assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+            assert (0 < grown < 200) == (operator == "HPRM")
+
+
+def test_walk_draws_each_cut_and_point_with_one_randint(monkeypatch):
+    # The walk draws a crossed child's cut, and an HPRM child's points, with
+    # one RngStream.randint call each, in child order, and nothing else.
+    # At n=52 no draw of these seeds meets a rejection.
+    calls = []
+    randint = RngStream.randint
+    monkeypatch.setattr(RngStream, "randint",
+                        lambda rng, lo, hi: calls.append(hi) or randint(rng, lo, hi))
+    n = 52
+    cut, point = n * (n - 1) // 2 - 1, n * (n + 1) // 2 - 1
+    for operator, seed in itertools.product(["PSM", "HPRM"], range(5)):
+        rng = RngStream(seed)
+        with rng.block(1):
+            crossed = rng.random_array(100) < 0.9
+            del calls[:]
+            cuts, points, rows, _, _ = _plan_block(n, operator, 0.05, crossed, rng)
+            q = rng._block.q
+        hprm = operator == "HPRM"
+        expected = [span for cross in crossed.tolist() for span in [cut] * cross + [point] * hprm]
+        assert calls == expected
+        assert q == len(expected) + len(rows)  # one half-word each: no rejection
+        assert len(cuts) == crossed.sum() and len(points) == hprm * 100
 
 
 @pytest.mark.parametrize("n", [92_681, 92_682])
@@ -553,10 +598,11 @@ class _Words:
 
 
 class _LoggedStream(RngStream):
-    """A stream that logs each integer draw's range and first half-word number."""
+    """A stream that logs each integer draw's range and where its first half-word sits."""
 
     def randint(self, lo, hi):
-        self.log.append((hi, self._block.q))
+        blk = self._block
+        self.log.append((hi, blk.half_at if blk.has_half else 2 * blk.pos))
         return super().randint(lo, hi)
 
 
@@ -594,14 +640,12 @@ def _craft_rejection(operator, kind, where, buffered):
     }[kind]
     children = sorted(set(owners))
     child = {"first": children[0], "middle": children[len(children) // 2], "last": children[-1]}[where]
-    q = firsts[owners.index(child)]
+    at = firsts[owners.index(child)]
     words, half = REJECT_WORDS.copy(), REJECT_HALF
-    i = q - buffered
-    if i < 0:
+    if at < 0:
         half = 0
     else:
-        pos = rng._block._split_at[i // 2]
-        words[pos] &= np.uint64(0xFFFFFFFF << 32 if i % 2 == 0 else 0xFFFFFFFF)
+        words[at // 2] &= np.uint64(0xFFFFFFFF << 32 if at % 2 == 0 else 0xFFFFFFFF)
     return words, half
 
 

@@ -211,8 +211,7 @@ def test_block_bounded_at_equals_bounded_draws(buffer_full):
             assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
         with array_rng.block(1), scalar_rng.block(1):
             blk, ref = array_rng._block, scalar_rng._block
-            values, bad = blk.bounded_at(np.arange(blk.halves(len(run)), blk.q),
-                                         np.array(run, dtype=np.uint64))
+            values, bad = blk.bounded_at(blk.halves(len(run)), np.array(run, dtype=np.uint64))
             expected, rejected = [], []
             for span in run:
                 q = ref.q
@@ -233,7 +232,7 @@ def test_block_half_words_placed_first_are_drawn_later():
         blk, ref = placed._block, direct._block
         numbers, expected = [], []
         for count in [3, 0, 1, 4, 2]:
-            numbers += range(blk.halves(count), blk.q)
+            numbers += blk.halves(count).tolist()
             expected += [ref.bounded(51) for _ in range(count)]
             assert blk.double() == ref.double()
         values, bad = blk.bounded_at(numbers, 51)

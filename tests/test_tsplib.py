@@ -300,6 +300,15 @@ def test_parse_tour_requires_terminator():
         parse_tour("TOUR_SECTION\n1\n2\n3\n")
 
 
+@pytest.mark.parametrize("tail, line", [
+    ("3 -1 5\n", 4), ("3\n-1 5\n", 5), ("3\n-1 -1\n", 5), ("3\n-1\n5\n", 6),
+])
+def test_parse_tour_rejects_content_after_the_terminator(tail, line):
+    # On the terminator's own line as on a later one.
+    with pytest.raises(TsplibParseError, match=f"line {line}: content after the -1 terminator"):
+        parse_tour("TOUR_SECTION\n1\n2\n" + tail)
+
+
 def test_parse_tour_requires_section():
     with pytest.raises(TsplibParseError, match="TOUR_SECTION"):
         parse_tour("1\n2\n3\n-1\n")
