@@ -321,7 +321,7 @@ def _windows(tours: np.ndarray) -> np.ndarray:
 
 
 def _ox_rows(windows: np.ndarray, first, second, c1, c2) -> np.ndarray:
-    """Order crossover of row pairs: the children of rows first[k] and second[k] of windows' tours.
+    """Order crossover of row pairs: child k of rows first[k] and second[k] of windows' tours.
 
     Worked in the frame rotated left by c2 + 1, where a child is its fill,
     the second parent's cities in scan order minus the kept slice, followed
