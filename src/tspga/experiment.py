@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ga import RunResult, evolve
-from .population import GaConfig, Population, evaluate, init_population, normalize_operator
+from .population import GaConfig, evaluate, init_population, normalize_operator
 from .rng import derive_stream
 from .tsplib import Instance, build_distance_matrix, load_instance
 
@@ -158,11 +158,17 @@ def format_summary_table(report: ComparisonReport) -> str:
 
 def _run_cell(payload):
     """Evolve one (operator, run) cell; module-level so process pools can ship it."""
-    operator, run, ga, dm, init_tours, root_seed = payload
+    operator, run, ga, dm, initial, root_seed = payload
     cfg = replace(ga, mutation_operator=operator)
-    pop = Population(init_tours.copy())
     rng = derive_stream(root_seed, _EVOLVE_STREAM, run)
-    return operator, run, evolve(cfg, dm, pop, rng)
+    return operator, run, evolve(cfg, dm, initial, rng)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; os.cpu_count() where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> ComparisonReport:
@@ -190,14 +196,16 @@ def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> Compa
         init_bests.append(int(pop.lengths.min()))
 
     payloads = [
-        (operator, run, cfg.ga, dm, inits[run].tours, cfg.root_seed)
+        (operator, run, cfg.ga, dm, inits[run], cfg.root_seed)
         for operator in cfg.operators
         for run in range(cfg.runs)
     ]
     results: dict[tuple[str, int], RunResult] = {}
     if cfg.jobs > 1:
-        # A pool starts all its workers at once; never more than there are cells.
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(payloads))) as pool:
+        # A pool starts all its workers at once; never more than there are
+        # cells, nor than there are CPUs to run them.
+        workers = min(cfg.jobs, len(payloads), _usable_cpus())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for operator, run, res in pool.map(_run_cell, payloads):
                 results[(operator, run)] = res
     else:

@@ -48,14 +48,20 @@ def evolve(cfg: GaConfig, dm: np.ndarray, initial: Population, rng: RngStream) -
     replacement. The initial population is left untouched; the best tour
     ever observed is returned. With max_generations = 0 the trace is empty
     and the result is the best of the initial population.
+
+    The generations run on a copy of the initial tours in int16 up to 32,768
+    cities and in int32 beyond, since a generation's crossover, mutation and
+    selection traffic scales with the tours' bytes; best_tour comes back in
+    the initial tours' dtype.
     """
     if initial.size != cfg.population_size:
         raise ValueError(
             f"initial population has {initial.size} members, config says {cfg.population_size}"
         )
-    # Nothing below writes a population in place, so the initial tours are
-    # shared, not copied; evaluating fills only this container's lengths.
+    # Evaluating fills only this container's lengths.
     pop = evaluate(Population(initial.tours, initial.lengths), dm)
+    narrow = np.int16 if pop.dimension <= 2**15 else np.int32  # holds every index below n
+    pop = Population(pop.tours.astype(narrow), pop.lengths)
 
     best_idx = int(pop.lengths.argmin())
     best_tour = pop.tours[best_idx].copy()
@@ -86,4 +92,5 @@ def evolve(cfg: GaConfig, dm: np.ndarray, initial: Population, rng: RngStream) -
         sel = np.concatenate(chosen)
         pop = Population(merged_tours[sel], merged_lengths[sel])
 
+    best_tour = best_tour.astype(initial.tours.dtype)
     return RunResult(best_tour, best_length, tuple(trace), cfg.max_generations)

@@ -22,10 +22,10 @@ import numpy as np
 from .population import GaConfig, Population, fitness_of
 from .rng import RngStream
 
-# Elements (rows times cities) per block of crossed children: enough rows to
-# amortize numpy's per-call cost on short tours, few enough that a block's
+# Bytes of tour rows per block of crossed children: enough rows to amortize
+# numpy's per-call cost on short tours, few enough that a block's
 # temporaries stay in cache on long ones.
-_OX_BLOCK_ELEMENTS = 1 << 14
+_OX_BLOCK_BYTES = 1 << 17
 
 
 def draw_mutation_points(n: int, rng: RngStream) -> tuple[int, int]:
@@ -437,7 +437,7 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
     crossed_rows = np.flatnonzero(crossed)
     c1, c2 = np.asarray(cuts, dtype=np.intp).reshape(-1, 2).T
     windows = _windows(pop.tours)
-    step = max(1, _OX_BLOCK_ELEMENTS // n)
+    step = max(1, _OX_BLOCK_BYTES // (n * pop.tours.itemsize))
     for lo in range(0, crossed_rows.size, step):
         block, hi = crossed_rows[lo:lo + step], lo + step
         children[block] = _ox_rows(

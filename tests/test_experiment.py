@@ -9,6 +9,7 @@ import pytest
 
 import tspga.data
 import tspga.experiment
+import tspga.population
 from tspga import (
     ExperimentConfig,
     GaConfig,
@@ -239,9 +240,9 @@ def test_parallel_jobs_match_sequential(tmp_path):
                (tmp_path / "par" / "out" / name).read_bytes()
 
 
-def test_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch):
-    # A process pool starts every worker it is sized for, so --jobs above the
-    # cell count must not reach it. The fake runs cells in-process.
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A process pool stand-in that records its size and maps cells in-process."""
     sizes = []
 
     class InlinePool:
@@ -258,13 +259,59 @@ def test_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(tspga.experiment, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch, inline_pool):
+    # A process pool starts every worker it is sized for, so --jobs above the
+    # cell count must not reach it, even with CPUs to spare.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     ga = GaConfig(population_size=10, max_generations=8)
     run_comparison(_config(tmp_path / "seq", ga=ga))
     run_comparison(_config(tmp_path / "wide", ga=ga, jobs=64))
-    assert sizes == [6]  # 3 operators x 2 runs
+    assert inline_pool == [6]  # 3 operators x 2 runs
     for name in ("convergence.csv", "report.json"):
         assert (tmp_path / "seq" / "out" / name).read_bytes() == \
                (tmp_path / "wide" / "out" / name).read_bytes()
+
+
+def test_pool_never_exceeds_the_usable_cpus(tmp_path, monkeypatch, inline_pool):
+    # --jobs 1000 must not start 1,000 processes: the pool is capped at the
+    # CPUs this process may use, else at os.cpu_count(), else at one.
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path / "seq", ga=ga))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    run_comparison(_config(tmp_path / "affinity", ga=ga, jobs=1000))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    run_comparison(_config(tmp_path / "count", ga=ga, jobs=1000))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_comparison(_config(tmp_path / "unknown", ga=ga, jobs=1000))
+    assert inline_pool == [3, 4, 1]
+    for out in ("affinity", "count", "unknown"):
+        for name in ("convergence.csv", "report.json"):
+            assert (tmp_path / "seq" / "out" / name).read_bytes() == \
+                   (tmp_path / out / "out" / name).read_bytes()
+
+
+def test_cells_do_not_score_their_initial_populations_again(tmp_path, monkeypatch):
+    # run_comparison scores each run's initial population once and ships the
+    # lengths with the cells, so each cell scores only its children.
+    real_tour_lengths = tspga.population.tour_lengths
+    scored = []
+
+    def counted(dm, tours):
+        scored.append(np.array(tours))
+        return real_tour_lengths(dm, tours)
+
+    monkeypatch.setattr(tspga.population, "tour_lengths", counted)
+    cfg = _config(tmp_path, ga=GaConfig(population_size=10, max_generations=8))
+    run_comparison(cfg)
+    initial = scored[:cfg.runs]
+    assert len(scored) == cfg.runs + 3 * cfg.runs * 8  # initial runs, then one per generation
+    assert not any(
+        np.array_equal(t, init) for t in scored[cfg.runs:] for init in initial
+    )
 
 
 def _fail_report_json(report):

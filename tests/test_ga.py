@@ -138,3 +138,41 @@ def test_initial_size_must_match_config(berlin52_dm):
     initial = _initial(19, 9, 52)
     with pytest.raises(ValueError, match="9 members"):
         evolve(GaConfig(population_size=10), berlin52_dm, initial, RngStream(20))
+
+
+@pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
+def test_result_does_not_depend_on_the_initial_tour_dtype(berlin52_dm, operator):
+    # evolve works on a narrowed copy; the caller's tours and dtype are kept.
+    initial = _initial(21, 12, 52)
+    cfg = GaConfig(population_size=12, max_generations=30, mutation_operator=operator)
+    expected = evolve(cfg, berlin52_dm, initial, RngStream(22))
+    for dtype in (np.int16, np.int32, np.int64):
+        tours = initial.tours.astype(dtype)
+        before = tours.copy()
+        result = evolve(cfg, berlin52_dm, Population(tours), RngStream(22))
+        assert result.trace == expected.trace
+        assert result.best_length == expected.best_length
+        assert result.best_tour.dtype == dtype
+        assert np.array_equal(result.best_tour, expected.best_tour)
+        assert tours.dtype == dtype and np.array_equal(tours, before)
+
+
+@pytest.mark.parametrize("n,working", [(32_768, np.int16), (32_769, np.int32)])
+def test_working_tours_widen_past_32768_cities(monkeypatch, n, working):
+    # int16 holds every city index up to 32,767, so it serves up to 32,768
+    # cities. A zero matrix broadcast to n x n scores without allocating n².
+    real_variation = tspga.ga.variation
+    seen = []
+
+    def recorded(pop, cfg, dm, rng):
+        seen.append(pop.tours.dtype)
+        return real_variation(pop, cfg, dm, rng)
+
+    monkeypatch.setattr(tspga.ga, "variation", recorded)
+    cfg = GaConfig(population_size=2, max_generations=1, mutation_operator="RSM")
+    initial = _initial(23, 2, n)
+    result = evolve(cfg, np.broadcast_to(np.int64(0), (n, n)), initial, RngStream(24))
+    assert seen == [working]
+    assert result.best_tour.dtype == initial.tours.dtype
+    assert is_permutation(result.best_tour, n)
+    assert result.best_tour.min() == 0 and result.best_tour.max() == n - 1

@@ -711,3 +711,23 @@ def test_variation_at_5000_cities_through_a_rejection(rejections, operator, seed
     assert spans[kind] in rejections
     assert np.array_equal(children.tours, _variation_one_child_at_a_time(pop, cfg, manual))
     assert batched._gen.bit_generator.state == manual._gen.bit_generator.state
+
+
+@pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
+@pytest.mark.parametrize("n", [52, 5000])
+def test_variation_children_do_not_depend_on_the_tour_dtype(operator, n):
+    # Crossover runs in blocks of 128 KiB of tour rows: at 5000 cities int64
+    # rows take 3 to a block and int16 rows 13, so the 20 children cross in
+    # 7 blocks and in 2.
+    size = 20
+    gen = np.random.default_rng(n)
+    tours = np.stack([gen.permutation(n) for _ in range(size)])
+    lengths = gen.integers(1_000_000, 2_000_000, size)
+    cfg = GaConfig(population_size=size, crossover_rate=0.9, mutation_operator=operator)
+    dm = np.broadcast_to(np.int64(0), (n, n))
+    wide, narrow = RngStream(n), RngStream(n)
+    children = variation(Population(tours, lengths), cfg, dm, wide)
+    narrowed = variation(Population(tours.astype(np.int16), lengths), cfg, dm, narrow)
+    assert narrowed.tours.dtype == np.int16
+    assert np.array_equal(narrowed.tours, children.tours)
+    assert wide._gen.bit_generator.state == narrow._gen.bit_generator.state
