@@ -1,7 +1,7 @@
 """Command-line interface: solve, compare and validate subcommands.
 
-Exit codes: 0 success, 1 file or parse errors, 2 invalid flags or
-configuration, 3 invalid tour under validate. Diagnostics go to standard
+Exit codes: 0 success, 1 file or parse errors or a closed standard output,
+2 invalid flags or configuration, 3 invalid tour under validate. Diagnostics go to standard
 error; standard output stays parseable.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .experiment import (
     run_comparison,
 )
 from .ga import evolve
-from .population import GaConfig, init_population
+from .population import MUTATION_OPERATORS, GaConfig, init_population
 from .rng import RngStream
 from .tsplib import (
     InvalidTourError,
@@ -33,18 +34,13 @@ from .tsplib import (
     load_tour,
 )
 
-_CONFIG_KEYS = {
-    "operator", "operators", "pop", "generations", "pm", "crossover_rate",
-    "elitism", "seed", "runs", "out", "jobs", "trace",
-}
-
-# (flag dest and config key, GaConfig field, type)
+# (flag dest, the GaConfig field it sets and takes its default from, type, metavar, help)
 _GA_FLAGS = (
-    ("pop", "population_size", int),
-    ("generations", "max_generations", int),
-    ("pm", "mutation_rate", float),
-    ("crossover_rate", "crossover_rate", float),
-    ("elitism", "elitism_count", int),
+    ("pop", "population_size", int, "N", "population size"),
+    ("generations", "max_generations", int, "N", "generations to run"),
+    ("pm", "mutation_rate", float, "P", "per-gene mutation probability"),
+    ("crossover_rate", "crossover_rate", float, "P", "crossover probability"),
+    ("elitism", "elitism_count", int, "N", "elites copied each generation"),
 )
 
 
@@ -62,22 +58,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pop", type=int, default=None, metavar="N", help="population size (default 100)")
-    p.add_argument("--generations", type=int, default=None, metavar="N",
-                   help="generations to run (default 1000)")
-    p.add_argument("--pm", type=float, default=None, metavar="P",
-                   help="per-gene mutation probability (default 0.05)")
-    p.add_argument("--crossover-rate", type=float, default=None, metavar="P", dest="crossover_rate",
-                   help="crossover probability (default 0.9)")
-    p.add_argument("--elitism", type=int, default=None, metavar="N",
-                   help="elites copied each generation (default 1)")
-    p.add_argument("--seed", type=int, default=None, metavar="U64",
+    for dest, field, cast, metavar, text in _GA_FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), type=cast, default=getattr(GaConfig, field),
+                       metavar=metavar, help=text + " (default %(default)s)")
+    p.add_argument("--seed", type=int, metavar="U64",
                    help="root seed; omitted draws one and prints it")
-    p.add_argument("--config", default=None, metavar="PATH",
+    p.add_argument("--config", metavar="PATH",
                    help="JSON config file; precedence defaults < config < flags")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the subcommand parsers that take --config by name."""
     parser = _Parser(
         prog="tspga",
         description="Genetic-algorithm toolkit for the symmetric TSP.",
@@ -86,31 +77,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the GA once on an instance")
     solve.add_argument("instance", help="TSPLIB .tsp file")
-    solve.add_argument("--operator", default=None, metavar="OP",
-                       help="mutation operator: rsm, psm or hprm (default hprm)")
+    solve.add_argument("--operator", default=GaConfig.mutation_operator.lower(), metavar="OP",
+                       help="mutation operator: rsm, psm or hprm (default %(default)s)")
     _add_ga_flags(solve)
-    solve.add_argument("--trace", default=None, metavar="PATH",
+    solve.add_argument("--trace", metavar="PATH",
                        help="write this run's convergence trace CSV here")
 
     compare = sub.add_parser("compare", help="paired comparison of mutation operators")
     compare.add_argument("instance", help="TSPLIB .tsp file")
-    compare.add_argument("--operators", default=None, metavar="LIST",
-                         help="comma list from rsm,psm,hprm (default all three)")
+    compare.add_argument("--operators", default=",".join(MUTATION_OPERATORS).lower(), metavar="LIST",
+                         help="comma list from %(default)s (default all three)")
     _add_ga_flags(compare)
-    compare.add_argument("--runs", type=int, default=None, metavar="N",
-                         help="paired runs per operator (default 50)")
-    compare.add_argument("--out", default=None, metavar="DIR",
-                         help="output directory (default compare_out)")
-    compare.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker processes (default 1)")
+    compare.add_argument("--runs", type=int, default=ExperimentConfig.runs, metavar="N",
+                         help="paired runs per operator (default %(default)s)")
+    compare.add_argument("--out", default="compare_out", metavar="DIR",
+                         help="output directory (default %(default)s)")
+    compare.add_argument("--jobs", type=int, default=ExperimentConfig.jobs, metavar="N",
+                         help="worker processes (default %(default)s)")
 
     validate = sub.add_parser("validate", help="score a tour file against an instance")
     validate.add_argument("instance", help="TSPLIB .tsp file")
     validate.add_argument("tour", help="TSPLIB .tour file")
-    return parser
+    return parser, {"solve": solve, "compare": compare}
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, parsers: dict, command: str) -> dict:
+    """The config file's values for command's flags, each read as that flag's text.
+
+    The keys are the flags of every parser in parsers, bar --help and
+    --config; a key of another command is accepted and ignored. A value is
+    a JSON string or number, and means what its text would mean given to
+    the flag.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -121,47 +119,37 @@ def _load_config(path: str) -> dict:
         raise _Failure(2, f"config {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise _Failure(2, f"config {path} must hold a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    flags = {
+        name: {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")}
+        for name, p in parsers.items()
+    }
+    unknown = sorted(set(doc).difference(*flags.values()))
     if unknown:
         raise _Failure(2, f"config {path} has unknown keys: {', '.join(unknown)}")
-    return doc
+    values = {}
+    for key, action in flags[command].items():
+        if key not in doc:
+            continue
+        value, cast = doc[key], action.type or str
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise _Failure(2, f"config key {key!r} must be a string or a number, not {json.dumps(value)}")
+        try:
+            values[key] = cast(str(value))
+        except ValueError:
+            raise _Failure(2, f"config key {key!r}: invalid {cast.__name__} value {value!r}") from None
+    return values
 
 
-def _pick(flag_value, config: dict, key: str, default, cast=str):
-    """The flag's value, else the config's read as that flag's text, else default.
-
-    A config value is a JSON string or number, and means what its text
-    would mean given to the flag.
-    """
-    if flag_value is not None:
-        return flag_value
-    if key not in config:
-        return default
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise _Failure(2, f"config key {key!r} must be a string or a number, not {json.dumps(value)}")
+def _ga_config(args, **fields) -> GaConfig:
+    for dest, field, *_ in _GA_FLAGS:
+        fields[field] = getattr(args, dest)
     try:
-        return cast(str(value))
-    except ValueError:
-        raise _Failure(2, f"config key {key!r}: invalid {cast.__name__} value {value!r}") from None
-
-
-def _ga_config(args, config: dict, operator) -> GaConfig:
-    kwargs = {}
-    for key, field, cast in _GA_FLAGS:
-        value = _pick(getattr(args, key), config, key, None, cast)
-        if value is not None:
-            kwargs[field] = value
-    if operator is not None:
-        kwargs["mutation_operator"] = operator
-    try:
-        return GaConfig(**kwargs)
+        return GaConfig(**fields)
     except ValueError as e:
         raise _Failure(2, str(e)) from None
 
 
-def _resolve_seed(args, config: dict) -> int:
-    seed = _pick(args.seed, config, "seed", None, int)
+def _resolve_seed(seed) -> int:
     if seed is None:
         return secrets.randbits(64)
     if not 0 <= seed < 2**64:
@@ -181,40 +169,38 @@ def _load(loader, path, **kwargs):
         raise _Failure(1, f"cannot read {path}: {e}") from None
 
 
-def cmd_solve(args, config: dict) -> int:
+def cmd_solve(args) -> int:
     inst = _load(load_instance, args.instance)
-    seed = _resolve_seed(args, config)
-    ga = _ga_config(args, config, _pick(args.operator, config, "operator", None))
+    seed = _resolve_seed(args.seed)
+    ga = _ga_config(args, mutation_operator=args.operator)
     print(f"seed {seed}", flush=True)
 
     dm = build_distance_matrix(inst)
     rng = RngStream(seed)
     result = evolve(ga, dm, init_population(ga, inst.dimension, rng), rng)
 
-    trace_path = _pick(args.trace, config, "trace", None)
-    if trace_path:
+    if args.trace:
         try:
-            emit_convergence_csv({(ga.mutation_operator, 0): result.trace}, trace_path)
+            emit_convergence_csv({(ga.mutation_operator, 0): result.trace}, args.trace)
         except OSError as e:
-            raise _Failure(1, f"cannot write {trace_path}: {e}") from None
+            raise _Failure(1, f"cannot write {args.trace}: {e}") from None
     print(f"best_length {result.best_length}")
     print("best_tour " + " ".join(str(int(c)) for c in result.best_tour))
     return 0
 
 
-def cmd_compare(args, config: dict) -> int:
+def cmd_compare(args) -> int:
     inst = _load(load_instance, args.instance)
-    operators = _pick(args.operators, config, "operators", "rsm,psm,hprm")
-    seed = _resolve_seed(args, config)
+    seed = _resolve_seed(args.seed)
     try:
         ecfg = ExperimentConfig(
-            ga=_ga_config(args, config, None),
-            operators=tuple(p.strip() for p in operators.split(",") if p.strip()),
+            ga=_ga_config(args),
+            operators=tuple(p.strip() for p in args.operators.split(",") if p.strip()),
             instance_path=args.instance,
-            output_dir=_pick(args.out, config, "out", "compare_out"),
+            output_dir=args.out,
             root_seed=seed,
-            runs=_pick(args.runs, config, "runs", 50, int),
-            jobs=_pick(args.jobs, config, "jobs", 1, int),
+            runs=args.runs,
+            jobs=args.jobs,
         )
     except ValueError as e:
         raise _Failure(2, str(e)) from None
@@ -238,13 +224,22 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        if args.command == "solve":
-            return cmd_solve(args, config)
-        if args.command == "compare":
-            return cmd_compare(args, config)
-        return cmd_validate(args)
+        parser, parsers = _build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's values become the defaults; argv is parsed again so flags win.
+            parsers[args.command].set_defaults(**_load_config(args.config, parsers, args.command))
+            args = parser.parse_args(argv)
+        commands = {"solve": cmd_solve, "compare": cmd_compare, "validate": cmd_validate}
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe is reported here, not at interpreter exit
+        return code
     except _Failure as e:
         print(f"tspga: {e}", file=sys.stderr)
         return e.code
+    except BrokenPipeError as e:
+        # The reader left (as with `| head`): as in Python's SIGPIPE note, point
+        # stdout at /dev/null so that the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"tspga: cannot write standard output: {e}", file=sys.stderr)
+        return 1

@@ -19,7 +19,7 @@ from math import ceil, isqrt
 
 import numpy as np
 
-from .population import GaConfig, Population, fitness_of
+from .population import GaConfig, Population, _check_dimension, fitness_of
 from .rng import RngStream
 
 # Bytes of tour rows per block of crossed children: enough rows to amortize
@@ -418,10 +418,7 @@ def variation(pop: Population, cfg: GaConfig, dm: np.ndarray, rng: RngStream) ->
     """
     if not pop.evaluated:
         raise ValueError("variation needs an evaluated population")
-    if pop.dimension != dm.shape[0]:
-        raise ValueError(
-            f"population dimension {pop.dimension} does not match matrix size {dm.shape[0]}"
-        )
+    _check_dimension(pop, dm)
     size, n = pop.size, pop.dimension
     op, pm = cfg.mutation_operator, cfg.mutation_rate
     # Per child: parents, gate, a word for cut and points, the swap draws of a

@@ -105,16 +105,20 @@ def init_population(cfg: GaConfig, n: int, rng: RngStream) -> Population:
     return Population(tours)
 
 
+def _check_dimension(pop: Population, dm: np.ndarray) -> None:
+    if pop.dimension != dm.shape[0]:
+        raise ValueError(
+            f"population dimension {pop.dimension} does not match matrix size {dm.shape[0]}"
+        )
+
+
 def evaluate(pop: Population, dm: np.ndarray) -> Population:
     """Fill the length cache from the distance matrix.
 
     Members are untouched and repeat calls are no-ops, so evaluating an
     already evaluated population is free.
     """
-    if pop.dimension != dm.shape[0]:
-        raise ValueError(
-            f"population dimension {pop.dimension} does not match matrix size {dm.shape[0]}"
-        )
+    _check_dimension(pop, dm)
     if pop.lengths is None:
         pop.lengths = tour_lengths(dm, pop.tours)
     return pop

@@ -344,6 +344,12 @@ def _out_flag(command, tmp_path):
         ("compare", {"runs": None}, "runs"),
         ("compare", {"operators": ["rsm"]}, "operators"),
         ("compare", {"jobs": "two"}, "jobs"),
+        ("solve", {"trace": [1]}, "trace"),
+        ("solve", {"generations": "1e3"}, "generations"),
+        ("solve", {"crossover_rate": "high"}, "crossover_rate"),
+        ("solve", {"elitism": {}}, "elitism"),
+        ("compare", {"out": None}, "out"),
+        ("compare", {"pm": False}, "pm"),
     ],
 )
 def test_malformed_config_value_is_exit_2_in_one_line(tmp_path, capsys, triangle_file, command, doc, key):
@@ -353,6 +359,69 @@ def test_malformed_config_value_is_exit_2_in_one_line(tmp_path, capsys, triangle
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and repr(key) in err
+
+
+def test_malformed_config_value_comes_before_a_missing_instance(tmp_path, capsys):
+    # The config is read with the flags, before any file the command names.
+    cfg = tmp_path / "ga.json"
+    cfg.write_text(json.dumps({"pop": "many"}))
+    assert main(["solve", str(tmp_path / "missing.tsp"), "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "tspga: config key 'pop': invalid int value 'many'\n"
+
+
+def test_config_key_of_the_other_command_is_ignored(tmp_path, capsys, triangle_file):
+    cfg = tmp_path / "ga.json"
+    cfg.write_text(json.dumps({"runs": [1], "out": None, "seed": 3}))
+    assert main(["solve", triangle_file, "--config", str(cfg), "--pop", "4", "--generations", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "seed 3"
+
+
+_SOLVE_BASE = {"seed": "5", "pop": "6", "generations": "3", "trace": "trace.csv"}
+_COMPARE_BASE = {"seed": "5", "pop": "6", "generations": "2", "runs": "1", "operators": "rsm",
+                 "out": "out"}
+
+
+def _run_in(directory, monkeypatch, capsys, argv):
+    """main(argv) run in a fresh directory: its stdout and every file it wrote."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    assert main(argv) == 0
+    files = {str(f.relative_to(directory)): f.read_bytes() for f in directory.rglob("*") if f.is_file()}
+    return capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [
+        ("solve", "operator", "psm"),
+        ("solve", "pop", "7"),
+        ("solve", "generations", "4"),
+        ("solve", "pm", "0.2"),
+        ("solve", "crossover_rate", "0.5"),
+        ("solve", "elitism", "2"),
+        ("solve", "seed", "11"),
+        ("solve", "trace", "other.csv"),
+        ("compare", "operators", "psm,hprm"),
+        ("compare", "runs", "2"),
+        ("compare", "out", "elsewhere"),
+        ("compare", "jobs", "2"),
+    ],
+)
+def test_config_key_equals_its_flag(tmp_path, monkeypatch, capsys, command, key, text):
+    base = dict(_SOLVE_BASE if command == "solve" else _COMPARE_BASE)
+    base.pop(key, None)
+    flags = [a for k, v in base.items() for a in ("--" + k.replace("_", "-"), v)]
+    cfg = tmp_path / "ga.json"
+    cfg.write_text(json.dumps({key: text}))
+    by_config = _run_in(tmp_path / "config", monkeypatch, capsys,
+                        [command, BERLIN, *flags, "--config", str(cfg)])
+    by_flag = _run_in(tmp_path / "flag", monkeypatch, capsys,
+                      [command, BERLIN, *flags, "--" + key.replace("_", "-"), text])
+    assert by_config == by_flag
+    assert by_flag[0].startswith("seed " if command == "solve" else "root_seed ")
+    assert by_flag[1]  # the trace, or the comparison's two files
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])
@@ -456,3 +525,29 @@ def test_compare_default_output_dir(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "compare_out" / "report.json").is_file()
+
+
+# ---------------------------------------------------------------- closed stdout
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_stdout_closed_after_the_first_line_is_exit_1_without_traceback(tmp_path, command):
+    # As `tspga ... | head -1`: the reader takes the seed line and leaves
+    # while the GA still runs, so the later lines meet a closed pipe.
+    out = tmp_path / "cmp"
+    sizes = ["--pop", "30", "--generations", "300"] if command == "solve" else \
+        ["--pop", "20", "--generations", "100", "--runs", "2", "--out", str(out)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tspga", command, BERLIN, "--seed", "1", *sizes],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert first.split()[1] == "1"
+    assert "Traceback" not in err and "Exception ignored" not in err
+    lines = err.splitlines()
+    assert len(lines) <= 1 and all(line.startswith("tspga: ") for line in lines), err
+    if command == "compare":
+        assert (out / "convergence.csv").is_file() and (out / "report.json").is_file()

@@ -395,6 +395,12 @@ def test_variation_requires_evaluated_population(berlin52_dm):
         variation(pop, GaConfig(population_size=5), berlin52_dm, RngStream(67))
 
 
+def test_variation_rejects_a_matrix_of_another_size(berlin52_dm):
+    pop = _evaluated_population(68, 5, berlin52_dm)
+    with pytest.raises(ValueError, match="^population dimension 52 does not match matrix size 3$"):
+        variation(pop, GaConfig(population_size=5), np.zeros((3, 3), np.int64), RngStream(69))
+
+
 def _variation_one_child_at_a_time(pop, cfg, rng):
     """variation written out with the public single-tour operators."""
     size = pop.size
