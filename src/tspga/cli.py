@@ -1,8 +1,9 @@
 """Command-line interface: solve, compare and validate subcommands.
 
-Exit codes: 0 success, 1 file or parse errors or a closed standard output,
-2 invalid flags or configuration, 3 invalid tour under validate. Diagnostics go to standard
-error; standard output stays parseable.
+Exit codes: 0 success, 1 file or parse errors, a failed allocation or a
+closed standard output, 2 invalid flags or configuration, 3 invalid tour
+under validate. Diagnostics go to standard error; standard output stays
+parseable.
 """
 
 from __future__ import annotations
@@ -237,6 +238,9 @@ def main(argv=None) -> int:
     except _Failure as e:
         print(f"tspga: {e}", file=sys.stderr)
         return e.code
+    except MemoryError as e:  # numpy's names the array it could not allocate
+        print("tspga: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 1
     except BrokenPipeError as e:
         # The reader left (as with `| head`): as in Python's SIGPIPE note, point
         # stdout at /dev/null so that the interpreter's final flush stays quiet.

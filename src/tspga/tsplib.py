@@ -235,8 +235,8 @@ def load_instance(path: str | Path) -> Instance:
     return parse_instance(_read_text(path))
 
 
-# Elements per row block of build_distance_matrix: the float temporaries of
-# a block stay small, whatever n is.
+# Elements per block of build_distance_matrix's upper triangle: the float
+# temporaries of a block stay small, whatever n is.
 _DM_BLOCK_ELEMENTS = 2**16
 
 
@@ -245,14 +245,15 @@ def _euc_2d(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
     Euclidean distance rounded to the nearest integer with ties going up
     (the rule under which berlin52's optimal tour measures exactly 7542).
-    Overwrites dx and dy; returns dx, whose floats hold whole numbers.
+    Overwrites dx and dy; returns dx holding sqrt(dx**2 + dy**2) + 0.5, at
+    least 0.5 everywhere, so a cast to an integer type, which truncates,
+    floors it to the distance.
     """
     np.multiply(dx, dx, out=dx)
     np.multiply(dy, dy, out=dy)
     np.add(dx, dy, out=dx)
     np.sqrt(dx, out=dx)
-    np.add(dx, 0.5, out=dx)
-    return np.floor(dx, out=dx)
+    return np.add(dx, 0.5, out=dx)
 
 
 def build_distance_matrix(inst: Instance) -> np.ndarray:
@@ -261,17 +262,32 @@ def build_distance_matrix(inst: Instance) -> np.ndarray:
     The entries are int32 when the bounding-box diagonal plus one is below
     2**31, so that no edge can exceed int32, and int64 otherwise. Sums of
     many entries need an int64 accumulator: tour_length and tour_lengths
-    use one. Symmetric with a zero diagonal by construction. Filled in row
-    blocks of about _DM_BLOCK_ELEMENTS elements, so the memory beyond the
-    matrix itself does not grow with n.
+    use one. Only the upper triangle is computed, in blocks of rows of
+    about _DM_BLOCK_ELEMENTS elements (at least one row), more rows as they
+    get shorter. Each block is copied below the diagonal as it stands,
+    since (xi - xj)**2 equals (xj - xi)**2 in floating point. So the matrix
+    is symmetric with a zero diagonal, and the memory beyond it is one
+    block, whatever n is.
     """
     x, y = inst.coords[:, 0], inst.coords[:, 1]
     n = inst.dimension
     d = np.empty((n, n), dtype=np.int32 if _edge_bound(inst.coords) < 2.0**31 else np.int64)
-    rows = max(1, _DM_BLOCK_ELEMENTS // n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        d[start:stop] = _euc_2d(x[start:stop, None] - x, y[start:stop, None] - y)
+    # Every block's differences go into these two buffers. Allocated afresh
+    # per block, they would fault their pages in again whenever the heap
+    # returns the freed block to the system.
+    size = min(n * n, max(n, _DM_BLOCK_ELEMENTS))
+    dx, dy = np.empty(size), np.empty(size)
+    start = 0
+    while start < n:
+        m = n - start
+        rows = min(m, max(1, _DM_BLOCK_ELEMENTS // m))
+        stop = start + rows
+        bx, by = dx[:rows * m].reshape(rows, m), dy[:rows * m].reshape(rows, m)
+        np.subtract(x[start:stop, None], x[start:], out=bx)
+        np.subtract(y[start:stop, None], y[start:], out=by)
+        d[start:stop, start:] = _euc_2d(bx, by)
+        d[stop:, start:stop] = d[start:stop, stop:].T
+        start = stop
     d.setflags(write=False)
     return d
 

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from conftest import FUZZ_BYTES, TRIANGLE_TSP, cli_env
 
+import tspga.cli
 import tspga.data
+import tspga.experiment
 from tspga import TsplibParseError, load_instance, load_tour
 from tspga.cli import main
 
@@ -525,6 +527,27 @@ def test_compare_default_output_dir(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "compare_out" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("message", ["", "Unable to allocate 2.33 GiB for an array with shape (25000, 25000)"],
+                         ids=["bare", "numpy"])
+def test_allocation_failure_is_exit_1_in_one_line(tmp_path, monkeypatch, capsys, command, message):
+    # As a matrix too large for memory: raised where the n^2 array is built,
+    # without allocating it. solve builds it in tspga.cli, compare in
+    # tspga.experiment.
+    def refuse(inst):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(tspga.cli, "build_distance_matrix", refuse)
+    monkeypatch.setattr(tspga.experiment, "build_distance_matrix", refuse)
+    argv = [command, BERLIN, "--seed", "1", *_out_flag(command, tmp_path)]
+    if command == "compare":
+        argv += ["--jobs", "1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ("seed 1\n" if command == "solve" else "root_seed 1\n")
+    assert err == "tspga: out of memory" + (f": {message}" if message else "") + "\n"
 
 
 # ---------------------------------------------------------------- closed stdout

@@ -1,11 +1,13 @@
 """Instance and tour parsing, distances, tour lengths."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tspga.data
+import tspga.tsplib
 from tspga import (
     Instance,
     InvalidTourError,
@@ -197,6 +199,73 @@ def test_rounding_is_nearest_integer_half_up():
     assert dist(2.5, 0) == 3    # also at values where round-half-even differs
     assert dist(1.4, 0) == 1
     assert dist(1.6, 0) == 2
+
+
+def _pairwise_euc_2d(coords):
+    """Every entry from the EUC_2D formula over all n x n pairs, as int64."""
+    x, y = coords[:, 0], coords[:, 1]
+    dx, dy = x[:, None] - x, y[:, None] - y
+    return np.floor(np.sqrt(dx * dx + dy * dy) + 0.5).astype(np.int64)
+
+
+def _assert_built_as_pairwise(coords, dtype):
+    dm = build_distance_matrix(SimpleNamespace(dimension=len(coords), coords=coords))
+    assert dm.dtype == dtype and not dm.flags.writeable and dm.flags.c_contiguous
+    assert np.array_equal(dm, _pairwise_euc_2d(coords))
+    assert np.array_equal(dm, dm.T) and not np.diag(dm).any()
+    return dm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 52])
+def test_matrix_equals_the_pairwise_formula(n):
+    # One city is below Instance's minimum, but the build itself takes it.
+    coords = np.random.default_rng(n).uniform(-5000.0, 5000.0, size=(n, 2)).round(2)
+    _assert_built_as_pairwise(coords, np.int32)
+
+
+@pytest.mark.parametrize("block_elements,n,shapes", [
+    # 218 of 300 rows: the block straddles the diagonal with 82 columns beyond it.
+    (tspga.tsplib._DM_BLOCK_ELEMENTS, 300, [(218, 300), (82, 82)]),
+    # The last block is a single row; the first holds 70 of 72 elements.
+    (72, 14, [(5, 14), (8, 9), (1, 1)]),
+    # Rows longer than a block: one row per block until they fit.
+    (8, 12, [(1, 12), (1, 11), (1, 10), (1, 9), (1, 8), (1, 7), (1, 6), (1, 5), (2, 4), (2, 2)]),
+])
+def test_matrix_blocks_equal_the_pairwise_formula(monkeypatch, block_elements, n, shapes):
+    seen = []
+    euc_2d = tspga.tsplib._euc_2d
+    monkeypatch.setattr(tspga.tsplib, "_DM_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(tspga.tsplib, "_euc_2d", lambda dx, dy: seen.append(dx.shape) or euc_2d(dx, dy))
+    coords = np.random.default_rng(n).uniform(0.0, 1e6, size=(n, 2)).round(1)
+    _assert_built_as_pairwise(coords, np.int32)
+    assert seen == shapes
+
+
+def test_matrix_of_int64_entries_equals_the_pairwise_formula():
+    # Edges up to 4.2e9: the bound passes 2**31 and every entry is int64.
+    coords = np.random.default_rng(64).uniform(0.0, 3e9, size=(40, 2)).round()
+    _assert_built_as_pairwise(coords, np.int64)
+
+
+def test_matrix_of_duplicate_cities_equals_the_pairwise_formula():
+    coords = np.random.default_rng(5).integers(0, 4, size=(30, 2)).astype(float)
+    dm = _assert_built_as_pairwise(coords, np.int32)
+    assert (dm == 0).sum() > 30  # cities that share a point are 0 apart
+
+
+def test_matrix_build_memory_is_one_block_beyond_the_matrix():
+    # Two float64 differences of one block and numpy's iteration buffers.
+    # Differences of all pairs would take 2 * 8 * n * n bytes, and those of
+    # two blocks at once twice the block's share.
+    inst = _instance(np.random.default_rng(2000).uniform(0.0, 1e6, size=(2000, 2)))
+    tracemalloc.start()
+    try:
+        dm = build_distance_matrix(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dm.nbytes == 2000 * 2000 * 4
+    assert peak <= dm.nbytes + 2 * 8 * tspga.tsplib._DM_BLOCK_ELEMENTS + 2**18
 
 
 def test_distance_matrix_symmetric_zero_diagonal(berlin52_dm):
