@@ -1,14 +1,16 @@
 """Command-line interface: solve, compare and validate subcommands.
 
-Exit codes: 0 success, 1 file or parse errors, a failed allocation or a
-closed standard output, 2 invalid flags or configuration, 3 invalid tour
-under validate. Diagnostics go to standard error; standard output stays
-parseable.
+main returns the exit code, also after printing --help: 0 success, 1
+file or parse errors, a failed allocation or a closed standard output, 2
+invalid flags or configuration, 3 invalid tour under validate.
+Diagnostics go to standard error; standard output stays parseable.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
 import os
 import secrets
@@ -53,9 +55,16 @@ class _Failure(Exception):
         self.code = code
 
 
+class _Exit(Exception):
+    """--help was printed: main returns the code, the process goes on."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is one line, as every failure is
         raise _Failure(2, message)
+
+    def exit(self, status=0, message=None):  # only --help exits, having printed
+        raise _Exit(status)
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
@@ -68,8 +77,13 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON config file; precedence defaults < config < flags")
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and the subcommand parsers that take --config by name."""
+    """The parser, and the subcommand parsers that take --config by name.
+
+    Built once per process: parsing leaves a parser as it was. A --config
+    call sets defaults, so it takes a parser of its own, _build_parser.__wrapped__().
+    """
     parser = _Parser(
         prog="tspga",
         description="Genetic-algorithm toolkit for the symmetric TSP.",
@@ -170,21 +184,41 @@ def _load(loader, path, **kwargs):
         raise _Failure(1, f"cannot read {path}: {e}") from None
 
 
+def _stage(path: str) -> Path:
+    """An empty temporary next to path, to be written and renamed onto it.
+
+    Made before the work, so that a path that cannot be written fails first.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tmp.touch()
+    except OSError as e:
+        raise _Failure(1, f"cannot write {path}: {e.strerror or e}") from None
+    return tmp
+
+
 def cmd_solve(args) -> int:
     inst = _load(load_instance, args.instance)
     seed = _resolve_seed(args.seed)
     ga = _ga_config(args, mutation_operator=args.operator)
-    print(f"seed {seed}", flush=True)
-
-    dm = build_distance_matrix(inst)
-    rng = RngStream(seed)
-    result = evolve(ga, dm, init_population(ga, inst.dimension, rng), rng)
-
-    if args.trace:
-        try:
-            emit_convergence_csv({(ga.mutation_operator, 0): result.trace}, args.trace)
-        except OSError as e:
-            raise _Failure(1, f"cannot write {args.trace}: {e}") from None
+    trace = _stage(args.trace) if args.trace else None
+    try:
+        print(f"seed {seed}", flush=True)
+        dm = build_distance_matrix(inst)
+        rng = RngStream(seed)
+        result = evolve(ga, dm, init_population(ga, inst.dimension, rng), rng)
+        if trace:
+            try:
+                emit_convergence_csv({(ga.mutation_operator, 0): result.trace}, trace)
+                os.replace(trace, args.trace)
+            except OSError as e:
+                raise _Failure(1, f"cannot write {args.trace}: {e.strerror or e}") from None
+    finally:
+        if trace:
+            trace.unlink(missing_ok=True)
     print(f"best_length {result.best_length}")
     print("best_tour " + " ".join(str(int(c)) for c in result.best_tour))
     return 0
@@ -228,13 +262,17 @@ def main(argv=None) -> int:
         parser, parsers = _build_parser()
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # The file's values become the defaults; argv is parsed again so flags win.
+            # The file's values become the defaults of a parser for this call
+            # alone; argv is parsed again so flags win.
+            parser, parsers = _build_parser.__wrapped__()
             parsers[args.command].set_defaults(**_load_config(args.config, parsers, args.command))
             args = parser.parse_args(argv)
         commands = {"solve": cmd_solve, "compare": cmd_compare, "validate": cmd_validate}
         code = commands[args.command](args)
         sys.stdout.flush()  # a closed pipe is reported here, not at interpreter exit
         return code
+    except _Exit as e:
+        return e.args[0]
     except _Failure as e:
         print(f"tspga: {e}", file=sys.stderr)
         return e.code

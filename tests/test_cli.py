@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -272,6 +273,33 @@ def test_solve_trace_writes_csv(tmp_path, triangle_file):
     assert all(line.startswith("RSM,0,") for line in lines[1:])
 
 
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_solve_unwritable_trace_fails_before_the_run(tmp_path, monkeypatch, capsys, triangle_file, where):
+    def never(*args):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr(tspga.cli, "evolve", never)
+    trace = tmp_path / "nope" / "trace.csv" if where == "missing directory" else tmp_path
+    assert main(["solve", triangle_file, "--seed", "1", "--trace", str(trace)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"tspga: cannot write {trace}: ") and err.count("\n") == 1
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["triangle.tsp"]
+
+
+def test_solve_failed_run_leaves_an_existing_trace_untouched(tmp_path, monkeypatch, capsys, triangle_file):
+    def refuse(*args):
+        raise MemoryError
+
+    trace = tmp_path / "trace.csv"
+    trace.write_text("the previous trace\n")
+    monkeypatch.setattr(tspga.cli, "evolve", refuse)
+    assert main(["solve", triangle_file, "--seed", "1", "--trace", str(trace)]) == 1
+    assert capsys.readouterr() == ("seed 1\n", "tspga: out of memory\n")
+    assert trace.read_text() == "the previous trace\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["trace.csv", "triangle.tsp"]
+
+
 def test_solve_rejects_bad_population_value(triangle_file):
     proc = run_cli("solve", triangle_file, "--pop", "0", "--generations", "1", "--seed", "0")
     assert proc.returncode == 2
@@ -424,6 +452,70 @@ def test_config_key_equals_its_flag(tmp_path, monkeypatch, capsys, command, key,
     assert by_config == by_flag
     assert by_flag[0].startswith("seed " if command == "solve" else "root_seed ")
     assert by_flag[1]  # the trace, or the comparison's two files
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_config_call_leaves_the_next_call_its_built_in_defaults(tmp_path, monkeypatch, capsys, command):
+    # The parser is built once per process; a --config call must not leave
+    # its values behind as the next call's defaults.
+    base = dict(_SOLVE_BASE if command == "solve" else _COMPARE_BASE)
+    del base["pop"]
+    flags = [a for k, v in base.items() for a in ("--" + k.replace("_", "-"), v)]
+    cfg = tmp_path / "ga.json"
+    cfg.write_text(json.dumps({"pop": 7, "pm": 0.3}))
+    _run_in(tmp_path / "config", monkeypatch, capsys, [command, BERLIN, *flags, "--config", str(cfg)])
+    in_process = _run_in(tmp_path / "plain", monkeypatch, capsys, [command, BERLIN, *flags])
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    proc = run_cli(command, BERLIN, *flags, cwd=str(fresh))
+    assert proc.returncode == 0, proc.stderr
+    files = {str(f.relative_to(fresh)): f.read_bytes() for f in fresh.rglob("*") if f.is_file()}
+    assert in_process == (proc.stdout, files)
+
+
+@pytest.fixture()
+def fresh_parser():
+    """No parser cached before the test, and none it built kept after."""
+    tspga.cli._build_parser.cache_clear()
+    yield
+    tspga.cli._build_parser.cache_clear()
+
+
+def test_two_calls_build_the_parser_once(monkeypatch, capsys, fresh_parser):
+    built = []
+
+    class Counting(tspga.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(tspga.cli, "_Parser", Counting)
+    for _ in range(2):
+        assert main(["validate", BERLIN, OPT_TOUR]) == 0
+    assert capsys.readouterr().out == "7542\n7542\n"
+    assert built.count("tspga") == 1
+
+
+@pytest.mark.parametrize("command", [[], ["solve"], ["compare"], ["validate"]], ids=lambda c: c[0] if c else "tspga")
+def test_help_returns_0_with_the_text_of_a_fresh_process(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "90")
+    assert main([*command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    proc = run_cli(*command, "--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, err)
+    assert out.startswith("usage: tspga")
+
+
+def test_help_after_a_config_call_shows_the_built_in_defaults(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "ga.json"
+    cfg.write_text(json.dumps({"pop": 7, "generations": 1, "seed": 3}))
+    assert main(["solve", BERLIN, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("seed 3\n")
+    monkeypatch.setenv("COLUMNS", "90")
+    assert main(["solve", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == run_cli("solve", "--help").stdout
+    assert re.search(r"^ +--pop N +population size \(default 100\)$", out, re.MULTILINE), out
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])

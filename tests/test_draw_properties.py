@@ -2,8 +2,10 @@
 
 The array plan must replay the scalar plan's draws exactly: the same plan,
 the same raw-word block afterwards and the same generator state once the
-block is left. The profile is derandomized and bounded, so the suite stays
-deterministic and quick.
+block is left. Every draw a block serves equals the direct call, and
+leaving a block, also by an exception, puts the generator where the direct
+calls would have. The profile is derandomized and bounded, so the suite
+stays deterministic and quick.
 """
 
 import numpy as np
@@ -17,6 +19,36 @@ from tspga import RngStream  # noqa: E402
 from tspga.operators import _plan, _plan_block  # noqa: E402
 
 PROFILE = settings(max_examples=150, derandomize=True, deadline=None, database=None)
+
+# Integer spans: nothing to draw, small, the widest half-word span, the
+# narrowest full-word span, the full 64 bits, and any in between.
+SPANS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(1, 1000),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@st.composite
+def draw_calls(draw):
+    """One RngStream call that a block serves, as (method name, *args)."""
+    kind = draw(st.sampled_from(["random", "random_array", "randint"]))
+    if kind == "random":
+        return ("random",)
+    if kind == "random_array":
+        return ("random_array", draw(st.integers(0, 8)))
+    span = draw(SPANS)
+    lo = draw(st.integers(-(2**63), 2**63 - 1 - span))
+    return ("randint", lo, lo + span)
+
+
+def _call(rng, call):
+    name, *args = call
+    return getattr(rng, name)(*args)
+
+
+class _Leave(Exception):
+    pass
 
 
 def _entering_with(seed, half):
@@ -52,3 +84,41 @@ def test_array_plan_equals_scalar_plan(n, operator, pm, crossover_rate, children
         _assert_same_plan(array_plan, scalar_plan)
         assert _block_end(array_rng) == _block_end(scalar_rng)
     assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+
+
+@PROFILE
+@given(
+    calls=st.lists(draw_calls(), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    half=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_block_draws_equal_direct_draws(calls, seed, half):
+    # The 1-word block must grow as soon as the calls need a second word.
+    blocked, direct = _entering_with(seed, half), _entering_with(seed, half)
+    with blocked.block(1):
+        for call in calls:
+            served, wanted = _call(blocked, call), _call(direct, call)
+            assert type(served) is type(wanted), call
+            assert np.array_equal(served, wanted), call
+
+
+@PROFILE
+@given(
+    calls=st.lists(draw_calls(), max_size=40),
+    by_exception=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    half=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_leaving_a_block_leaves_the_direct_state(calls, by_exception, seed, half):
+    blocked, direct = _entering_with(seed, half), _entering_with(seed, half)
+    try:
+        with blocked.block(1):
+            for call in calls:
+                _call(blocked, call)
+            if by_exception:
+                raise _Leave
+    except _Leave:
+        pass
+    for call in calls:
+        _call(direct, call)
+    assert blocked._gen.bit_generator.state == direct._gen.bit_generator.state
