@@ -9,7 +9,7 @@ Diagnostics go to standard error; standard output stays parseable.
 from __future__ import annotations
 
 import argparse
-import errno
+import contextlib
 import functools
 import json
 import os
@@ -24,6 +24,7 @@ from .experiment import (
     emit_convergence_csv,
     format_summary_table,
     run_comparison,
+    staged,
 )
 from .ga import evolve
 from .population import MUTATION_OPERATORS, GaConfig, init_population
@@ -55,16 +56,9 @@ class _Failure(Exception):
         self.code = code
 
 
-class _Exit(Exception):
-    """--help was printed: main returns the code, the process goes on."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is one line, as every failure is
         raise _Failure(2, message)
-
-    def exit(self, status=0, message=None):  # only --help exits, having printed
-        raise _Exit(status)
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
@@ -184,41 +178,31 @@ def _load(loader, path, **kwargs):
         raise _Failure(1, f"cannot read {path}: {e}") from None
 
 
-def _stage(path: str) -> Path:
-    """An empty temporary next to path, to be written and renamed onto it.
-
-    Made before the work, so that a path that cannot be written fails first.
-    """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError raised in the block fails as one 'cannot write path' line."""
     try:
-        if target.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        tmp.touch()
-    except OSError as e:
+        yield
+    except OSError as e:  # the reason alone: the error may name a temporary
         raise _Failure(1, f"cannot write {path}: {e.strerror or e}") from None
-    return tmp
 
 
 def cmd_solve(args) -> int:
     inst = _load(load_instance, args.instance)
     seed = _resolve_seed(args.seed)
     ga = _ga_config(args, mutation_operator=args.operator)
-    trace = _stage(args.trace) if args.trace else None
-    try:
+    with contextlib.ExitStack() as trace_stage:
+        if args.trace:
+            with _writing(args.trace):  # before the run, so that a bad PATH fails first
+                trace = trace_stage.enter_context(staged(args.trace))
         print(f"seed {seed}", flush=True)
         dm = build_distance_matrix(inst)
         rng = RngStream(seed)
         result = evolve(ga, dm, init_population(ga, inst.dimension, rng), rng)
-        if trace:
-            try:
+        if args.trace:
+            with _writing(args.trace):
                 emit_convergence_csv({(ga.mutation_operator, 0): result.trace}, trace)
-                os.replace(trace, args.trace)
-            except OSError as e:
-                raise _Failure(1, f"cannot write {args.trace}: {e.strerror or e}") from None
-    finally:
-        if trace:
-            trace.unlink(missing_ok=True)
+                trace_stage.close()  # the trace takes its place at PATH
     print(f"best_length {result.best_length}")
     print("best_tour " + " ".join(str(int(c)) for c in result.best_tour))
     return 0
@@ -271,8 +255,8 @@ def main(argv=None) -> int:
         code = commands[args.command](args)
         sys.stdout.flush()  # a closed pipe is reported here, not at interpreter exit
         return code
-    except _Exit as e:
-        return e.args[0]
+    except SystemExit as e:  # --help, having printed; error() raises _Failure
+        return e.code
     except _Failure as e:
         print(f"tspga: {e}", file=sys.stderr)
         return e.code

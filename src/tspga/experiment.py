@@ -8,8 +8,10 @@ makes the comparison paired rather than merely same-budget.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -143,6 +145,47 @@ def emit_convergence_csv(results, path) -> None:
                 )
 
 
+@contextlib.contextmanager
+def staged(path):
+    """Yield the path to write path's new content to, checked on entry.
+
+    A path that is missing or names a regular file is staged: the yielded
+    path is a temporary next to the file path resolves to, with that file's
+    mode, renamed onto it when the block completes and removed whatever
+    happens. A failed block then leaves the file as it was, and a symlink
+    to it stays a link. Any other path (a FIFO, a terminal, /dev/null), and
+    a regular file whose directory takes no new file, is yielded as it is
+    and held open for writing until the block ends; it is not truncated
+    before the block writes it. Either way a path that cannot be written
+    raises OSError on entry, before the block's work.
+    """
+    real = Path(os.path.realpath(path))
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    tmp = None
+    if mode is None or stat.S_ISREG(mode):
+        tmp = real.with_name(f".{real.name}.{os.getpid()}.tmp")
+        try:
+            tmp.touch()
+        except OSError:
+            if mode is None:  # no file to write in place
+                raise
+            tmp = None
+    if tmp is None:
+        with open(path, "a"):
+            yield Path(path)
+        return
+    try:
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        yield tmp
+        os.replace(tmp, real)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def format_summary_table(report: ComparisonReport) -> str:
     """Fixed-width human-readable summary, one row per operator arm."""
     lines = [
@@ -176,9 +219,9 @@ def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> Compa
 
     Writes convergence.csv and report.json into output_dir and returns the
     report. Identical configs produce byte-identical files; neither file
-    carries wall-clock content. Both files are written to temporaries in
-    output_dir and renamed into place once both are complete, so a run that
-    fails leaves the previous pair untouched. inst, when given, is the
+    carries wall-clock content. Both files are written through staged and
+    renamed into place once both are complete, so a run that fails leaves
+    the previous pair untouched. inst, when given, is the
     instance at instance_path, already loaded.
     """
     if inst is None:
@@ -237,16 +280,9 @@ def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> Compa
         operators=tuple(summaries),
     )
     report_text = _report_json(report)
-    names = (CONVERGENCE_CSV, REPORT_JSON)
-    staged = [out_dir / f".{name}.{os.getpid()}.tmp" for name in names]
-    try:
-        emit_convergence_csv({key: res.trace for key, res in results.items()}, staged[0])
-        staged[1].write_text(report_text, encoding="utf-8")
-        for tmp, name in zip(staged, names):
-            os.replace(tmp, out_dir / name)
-    finally:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
+    with staged(out_dir / CONVERGENCE_CSV) as csv_path, staged(out_dir / REPORT_JSON) as json_path:
+        emit_convergence_csv({key: res.trace for key, res in results.items()}, csv_path)
+        json_path.write_text(report_text, encoding="utf-8")
     return report
 
 

@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -298,6 +301,122 @@ def test_solve_failed_run_leaves_an_existing_trace_untouched(tmp_path, monkeypat
     assert capsys.readouterr() == ("seed 1\n", "tspga: out of memory\n")
     assert trace.read_text() == "the previous trace\n"
     assert sorted(f.name for f in tmp_path.iterdir()) == ["trace.csv", "triangle.tsp"]
+
+
+def _solve_trace(triangle_file, trace):
+    return main(["solve", triangle_file, "--seed", "4", "--pop", "5", "--generations", "6", "--trace", str(trace)])
+
+
+@pytest.fixture()
+def reference_trace(tmp_path, capsys, triangle_file):
+    """The trace of _solve_trace written to a new regular file, and the run's stdout."""
+    path = tmp_path / "reference" / "trace.csv"
+    path.parent.mkdir()
+    assert _solve_trace(triangle_file, path) == 0
+    return path.read_bytes(), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target_exists", [True, False], ids=["existing", "dangling"])
+def test_solve_trace_through_a_symlink_keeps_the_link(tmp_path, capsys, triangle_file, reference_trace,
+                                                      target_exists):
+    target = tmp_path / "elsewhere" / "trace.csv"
+    target.parent.mkdir()
+    if target_exists:
+        target.write_text("the previous trace\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert _solve_trace(triangle_file, link) == 0
+    assert (target.read_bytes(), capsys.readouterr().out) == reference_trace
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert [f.name for f in target.parent.iterdir()] == ["trace.csv"]  # no temporary left
+
+
+def test_solve_trace_into_a_fifo_writes_through_it(tmp_path, capsys, triangle_file, reference_trace):
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert _solve_trace(triangle_file, fifo) == 0
+    reader.join(timeout=30)
+    assert (received, capsys.readouterr().out) == ([reference_trace[0]], reference_trace[1])
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert not [f for f in tmp_path.iterdir() if f.name.startswith(".")]
+
+
+def test_solve_trace_keeps_an_existing_files_mode(tmp_path, capsys, triangle_file, reference_trace):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("the previous trace\n")
+    trace.chmod(0o640)
+    assert _solve_trace(triangle_file, trace) == 0
+    assert (trace.read_bytes(), capsys.readouterr().out) == reference_trace
+    assert stat.S_IMODE(trace.stat().st_mode) == 0o640
+
+
+@pytest.fixture()
+def closed_directory(monkeypatch):
+    """Creating a file fails as in a directory without write permission.
+
+    Only Path.touch, which makes the temporary, is refused: a test that
+    chmods a directory shows nothing when it runs as root.
+    """
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "touch", refuse)
+
+
+def test_solve_trace_in_a_closed_directory_is_written_in_place(tmp_path, capsys, triangle_file, reference_trace,
+                                                               closed_directory):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("the previous trace, longer than the new one " * 100)
+    inode = trace.stat().st_ino
+    assert _solve_trace(triangle_file, trace) == 0
+    assert (trace.read_bytes(), capsys.readouterr().out) == reference_trace
+    assert trace.stat().st_ino == inode
+
+
+def test_solve_trace_in_a_closed_directory_is_untouched_by_a_failed_run(tmp_path, monkeypatch, capsys,
+                                                                        triangle_file, closed_directory):
+    def refuse(*args):
+        raise MemoryError
+
+    trace = tmp_path / "trace.csv"
+    trace.write_text("the previous trace\n")
+    monkeypatch.setattr(tspga.cli, "evolve", refuse)
+    assert _solve_trace(triangle_file, trace) == 1
+    assert capsys.readouterr() == ("seed 4\n", "tspga: out of memory\n")
+    assert trace.read_text() == "the previous trace\n"
+
+
+def test_solve_new_trace_in_a_closed_directory_fails_before_the_run(tmp_path, monkeypatch, capsys, triangle_file,
+                                                                    closed_directory):
+    def never(*args):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr(tspga.cli, "evolve", never)
+    trace = tmp_path / "trace.csv"
+    assert _solve_trace(triangle_file, trace) == 1
+    assert capsys.readouterr() == ("", f"tspga: cannot write {trace}: Permission denied\n")
+    assert not trace.exists()
+
+
+def test_solve_trace_in_a_read_only_directory(tmp_path, capsys, triangle_file, reference_trace):
+    closed = tmp_path / "closed"
+    closed.mkdir()
+    trace = closed / "trace.csv"
+    trace.write_text("the previous trace\n")
+    closed.chmod(0o555)
+    try:
+        if os.access(closed, os.W_OK):
+            pytest.skip("this user may write into a read-only directory")
+        assert _solve_trace(triangle_file, trace) == 0
+        assert _solve_trace(triangle_file, closed / "new.csv") == 1
+    finally:
+        closed.chmod(0o755)
+    out, err = capsys.readouterr()
+    assert (trace.read_bytes(), out) == reference_trace
+    assert err == f"tspga: cannot write {closed / 'new.csv'}: Permission denied\n"
 
 
 def test_solve_rejects_bad_population_value(triangle_file):
