@@ -1,8 +1,8 @@
 """Command-line interface: solve, compare and validate subcommands.
 
 main returns the exit code, also after printing --help: 0 success, 1
-file or parse errors, a failed allocation or a closed standard output, 2
-invalid flags or configuration, 3 invalid tour under validate.
+file or parse errors, a failed allocation or standard output that cannot
+be written, 2 invalid flags or configuration, 3 invalid tour under validate.
 Diagnostics go to standard error; standard output stays parseable.
 """
 
@@ -75,8 +75,7 @@ def _add_ga_flags(p: argparse.ArgumentParser) -> None:
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser, and the subcommand parsers that take --config by name.
 
-    Built once per process: parsing leaves a parser as it was. A --config
-    call sets defaults, so it takes a parser of its own, _build_parser.__wrapped__().
+    Built once per process: parsing leaves a parser as it was.
     """
     parser = _Parser(
         prog="tspga",
@@ -246,11 +245,11 @@ def main(argv=None) -> int:
         parser, parsers = _build_parser()
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # The file's values become the defaults of a parser for this call
-            # alone; argv is parsed again so flags win.
-            parser, parsers = _build_parser.__wrapped__()
-            parsers[args.command].set_defaults(**_load_config(args.config, parsers, args.command))
-            args = parser.parse_args(argv)
+            # argparse fills in only the defaults a namespace lacks, so the file's
+            # values stand unless a flag sets them; argv[0] names the command.
+            values = _load_config(args.config, parsers, args.command)
+            rest = list(sys.argv[1:] if argv is None else argv)[1:]
+            args = parsers[args.command].parse_args(rest, argparse.Namespace(command=args.command, **values))
         commands = {"solve": cmd_solve, "compare": cmd_compare, "validate": cmd_validate}
         code = commands[args.command](args)
         sys.stdout.flush()  # a closed pipe is reported here, not at interpreter exit
@@ -263,9 +262,10 @@ def main(argv=None) -> int:
     except MemoryError as e:  # numpy's names the array it could not allocate
         print("tspga: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 1
-    except BrokenPipeError as e:
-        # The reader left (as with `| head`): as in Python's SIGPIPE note, point
-        # stdout at /dev/null so that the interpreter's final flush stays quiet.
+    except OSError as e:  # the commands report their own files' errors as _Failure
+        # The reader left (as with `| head`) or the device is full: as in Python's
+        # SIGPIPE note, point stdout at /dev/null so that the interpreter's final
+        # flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"tspga: cannot write standard output: {e}", file=sys.stderr)
         return 1

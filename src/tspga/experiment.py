@@ -230,37 +230,28 @@ def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> Compa
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    inits = []
-    init_bests = []
-    for run in range(cfg.runs):
-        pop = init_population(cfg.ga, inst.dimension, derive_stream(cfg.root_seed, _INIT_STREAM, run))
-        evaluate(pop, dm)
-        inits.append(pop)
-        init_bests.append(int(pop.lengths.min()))
-
+    inits = [  # each run's initial population, scored once for every arm
+        evaluate(init_population(cfg.ga, inst.dimension, derive_stream(cfg.root_seed, _INIT_STREAM, run)), dm)
+        for run in range(cfg.runs)
+    ]
     payloads = [
         (operator, run, cfg.ga, dm, inits[run], cfg.root_seed)
         for operator in cfg.operators
         for run in range(cfg.runs)
     ]
-    results: dict[tuple[str, int], RunResult] = {}
-    if cfg.jobs > 1:
-        # A pool starts all its workers at once; never more than there are
-        # cells, nor than there are CPUs to run them.
-        workers = min(cfg.jobs, len(payloads), _usable_cpus())
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for operator, run, res in pool.map(_run_cell, payloads):
-                results[(operator, run)] = res
-    else:
-        for payload in payloads:
-            operator, run, res = _run_cell(payload)
-            results[(operator, run)] = res
+    # A pool starts all its workers at once, so it starts only when more than
+    # one would run: never more than there are cells, nor CPUs to run them.
+    workers = min(cfg.jobs, len(payloads), _usable_cpus())
+    with contextlib.ExitStack() as stack:
+        pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers)) if workers > 1 else None
+        cells = pool.map(_run_cell, payloads) if pool else map(_run_cell, payloads)
+        results = {(operator, run): res for operator, run, res in cells}
 
     summaries = []
     for operator in cfg.operators:
         finals = [results[(operator, run)].best_length for run in range(cfg.runs)]
         to_best = [
-            generations_to_best(results[(operator, run)], init_bests[run])
+            generations_to_best(results[(operator, run)], int(inits[run].lengths.min()))
             for run in range(cfg.runs)
         ]
         summaries.append(

@@ -83,13 +83,11 @@ def evolve(cfg: GaConfig, dm: np.ndarray, initial: Population, rng: RngStream) -
 
         merged_tours = np.concatenate((children.tours, pop.tours))
         merged_lengths = np.concatenate((lengths, pop.lengths))
-        chosen = []
+        # GaConfig keeps elitism_count below population_size, so one member at least is drawn.
+        drawn = cfg.population_size - cfg.elitism_count
+        sel = wheel_index(_wheel(merged_lengths), rng.random_array(drawn))
         if cfg.elitism_count:
-            chosen.append(merged_lengths.argsort(kind="stable")[:cfg.elitism_count])
-        remainder = cfg.population_size - cfg.elitism_count
-        if remainder:
-            chosen.append(wheel_index(_wheel(merged_lengths), rng.random_array(remainder)))
-        sel = np.concatenate(chosen)
+            sel = np.concatenate((merged_lengths.argsort(kind="stable")[:cfg.elitism_count], sel))
         pop = Population(merged_tours[sel], merged_lengths[sel])
 
     best_tour = best_tour.astype(initial.tours.dtype)

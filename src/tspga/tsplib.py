@@ -36,14 +36,13 @@ class InvalidTourError(TsplibParseError):
 class Instance:
     """A Euclidean city set.
 
-    coords is an (n, 2) float array in file order; edge_weight_kind currently
-    admits only the rounded 2D Euclidean metric (TSPLIB EUC_2D).
+    coords is an (n, 2) float array in file order; distances are the rounded
+    2D Euclidean metric (TSPLIB EUC_2D), the only one parse_instance admits.
     """
 
     name: str
     dimension: int
     coords: np.ndarray
-    edge_weight_kind: str = "EUC_2D"
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -55,8 +54,6 @@ class Instance:
             )
         coords.setflags(write=False)  # shared read-only across concurrent runs
         object.__setattr__(self, "coords", coords)
-        if self.edge_weight_kind != "EUC_2D":
-            raise TsplibParseError(f"unsupported edge weight kind {self.edge_weight_kind!r}")
         # Keeps every closed tour's length below the int64 limit. Python
         # floats overflow to inf without a warning.
         bound = _edge_bound(coords)
@@ -161,7 +158,7 @@ def parse_instance(text: str) -> Instance:
                 f"DIMENSION is {dimension} but NODE_COORD_SECTION has {len(coords)} cities"
             )
         ordered = np.array([coords[i] for i in range(1, dimension + 1)], dtype=float)
-    return Instance(name=name, dimension=dimension, coords=ordered, edge_weight_kind=weight_type)
+    return Instance(name=name, dimension=dimension, coords=ordered)
 
 
 # One NODE_COORD_SECTION row, "index x y", as np.loadtxt reads it.

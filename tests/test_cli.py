@@ -615,6 +615,23 @@ def test_two_calls_build_the_parser_once(monkeypatch, capsys, fresh_parser):
     assert built.count("tspga") == 1
 
 
+def test_a_config_call_builds_no_second_parser(tmp_path, monkeypatch, capsys, fresh_parser):
+    built = []
+
+    class Counting(tspga.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(tspga.cli, "_Parser", Counting)
+    cfg = tmp_path / "ga.json"
+    cfg.write_text(json.dumps({"pop": 7, "generations": 1, "seed": 3}))
+    assert main(["validate", BERLIN, OPT_TOUR]) == 0
+    assert main(["solve", BERLIN, "--config", str(cfg), "--pop", "6"]) == 0
+    assert capsys.readouterr().out.startswith("7542\nseed 3\n")
+    assert built.count("tspga") == 1
+
+
 @pytest.mark.parametrize("command", [[], ["solve"], ["compare"], ["validate"]], ids=lambda c: c[0] if c else "tspga")
 def test_help_returns_0_with_the_text_of_a_fresh_process(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "90")
@@ -785,3 +802,19 @@ def test_stdout_closed_after_the_first_line_is_exit_1_without_traceback(tmp_path
     assert len(lines) <= 1 and all(line.startswith("tspga: ") for line in lines), err
     if command == "compare":
         assert (out / "convergence.csv").is_file() and (out / "report.json").is_file()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["validate", "compare"])
+def test_stdout_that_cannot_be_written_is_exit_1_in_one_line(tmp_path, command):
+    # /dev/full takes no byte: the first line written (the length, or
+    # root_seed) fails with ENOSPC.
+    args = [OPT_TOUR] if command == "validate" else \
+        ["--pop", "6", "--generations", "2", "--runs", "1", "--seed", "1", "--out", str(tmp_path / "cmp")]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tspga", command, BERLIN, *args],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "tspga: cannot write standard output: [Errno 28] No space left on device\n"

@@ -14,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from test_operators import _assert_same_plan, _block_end  # noqa: E402
+from test_operators import _assert_same_plan, _block_end, _LoggedStream, _plant_rejections  # noqa: E402
 from tspga import RngStream  # noqa: E402
 from tspga.operators import _plan, _plan_block  # noqa: E402
 
@@ -51,9 +51,9 @@ class _Leave(Exception):
     pass
 
 
-def _entering_with(seed, half):
+def _entering_with(seed, half, stream=RngStream):
     """A stream whose generator buffers the given half-word, or none."""
-    rng = RngStream(seed)
+    rng = stream(seed)
     if half is not None:
         bitgen = rng._gen.bit_generator
         state = bitgen.state
@@ -77,6 +77,45 @@ def test_array_plan_equals_scalar_plan(n, operator, pm, crossover_rate, children
     # range does not divide 2**32. A 1-word block grows on the first draws.
     array_rng, scalar_rng = _entering_with(seed, half), _entering_with(seed, half)
     with array_rng.block(1), scalar_rng.block(1):
+        crossed = array_rng.random_array(children) < crossover_rate
+        assert np.array_equal(crossed, scalar_rng.random_array(children) < crossover_rate)
+        array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+        scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
+        _assert_same_plan(array_plan, scalar_plan)
+        assert _block_end(array_rng) == _block_end(scalar_rng)
+    assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+
+
+@PROFILE
+@given(
+    n=st.integers(2, 300),
+    operator=st.sampled_from(["RSM", "PSM", "HPRM"]),
+    pm=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    crossover_rate=st.floats(0.0, 1.0),
+    children=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    half=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+)
+def test_array_plan_equals_scalar_plan_through_planted_rejections(
+    n, operator, pm, crossover_rate, children, seed, half, picks
+):
+    # The scalar plan on the stream's own words logs where each integer draw
+    # takes its first half-word; a 0 planted at the picked ones makes Lemire's
+    # method reject them, unless the draw's range divides 2**32.
+    probe = _entering_with(seed, half, _LoggedStream)
+    probe.log = []
+    with probe.block(1):
+        crossed = probe.random_array(children) < crossover_rate
+        _plan(n, operator, pm, crossed.tolist(), probe)
+    firsts = [at for _, at in probe.log]
+    ats = {firsts[p % len(firsts)] for p in picks} if firsts else set()
+    entering = 0 if -1 in ats else half
+    words = max(ats, default=0) // 2 + 1  # the block holds every planted half-word
+    array_rng, scalar_rng = _entering_with(seed, entering), _entering_with(seed, entering)
+    with array_rng.block(words), scalar_rng.block(words):
+        for rng in (array_rng, scalar_rng):
+            rng._block.raw = _plant_rejections(rng._block.raw, entering, ats)[0]
         crossed = array_rng.random_array(children) < crossover_rate
         assert np.array_equal(crossed, scalar_rng.random_array(children) < crossover_rate)
         array_plan = _plan_block(n, operator, pm, crossed, array_rng)

@@ -277,7 +277,8 @@ def test_pool_never_exceeds_the_cell_count(tmp_path, monkeypatch, inline_pool):
 
 def test_pool_never_exceeds_the_usable_cpus(tmp_path, monkeypatch, inline_pool):
     # --jobs 1000 must not start 1,000 processes: the pool is capped at the
-    # CPUs this process may use, else at os.cpu_count(), else at one.
+    # CPUs this process may use, else at os.cpu_count(); with neither known
+    # the cells run in this process.
     ga = GaConfig(population_size=10, max_generations=8)
     run_comparison(_config(tmp_path / "seq", ga=ga))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -287,11 +288,24 @@ def test_pool_never_exceeds_the_usable_cpus(tmp_path, monkeypatch, inline_pool):
     run_comparison(_config(tmp_path / "count", ga=ga, jobs=1000))
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_comparison(_config(tmp_path / "unknown", ga=ga, jobs=1000))
-    assert inline_pool == [3, 4, 1]
+    assert inline_pool == [3, 4]
     for out in ("affinity", "count", "unknown"):
         for name in ("convergence.csv", "report.json"):
             assert (tmp_path / "seq" / "out" / name).read_bytes() == \
                    (tmp_path / out / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cpus,runs,operators", [(1, 2, ("RSM", "PSM")), (4, 1, ("HPRM",))], ids=["one-cpu", "one-cell"])
+def test_a_pool_of_one_worker_is_never_started(tmp_path, monkeypatch, inline_pool, cpus, runs, operators):
+    # One worker would only fork and pickle every cell for nothing.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path / "seq", ga=ga, runs=runs, operators=operators))
+    run_comparison(_config(tmp_path / "jobs", ga=ga, runs=runs, operators=operators, jobs=2))
+    assert inline_pool == []
+    for name in ("convergence.csv", "report.json"):
+        assert (tmp_path / "seq" / "out" / name).read_bytes() == \
+               (tmp_path / "jobs" / "out" / name).read_bytes()
 
 
 def test_cells_do_not_score_their_initial_populations_again(tmp_path, monkeypatch):

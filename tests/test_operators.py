@@ -244,6 +244,17 @@ def test_draw_cut_points_two_cities():
     assert draw_cut_points(2, RngStream(1)) == (0, 1)
 
 
+@pytest.mark.parametrize("draw,n,message", [
+    (draw_mutation_points, 0, "n must be positive"),
+    (draw_cut_points, 1, "cut points need n >= 2"),
+], ids=["mutation", "cut"])
+def test_point_draws_below_their_smallest_n_rejected(draw, n, message):
+    rng = RngStream(1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw(n, rng)
+    assert rng.random() == RngStream(1).random()  # nothing was drawn
+
+
 # ---------------------------------------------------------------- OX
 
 def test_ox_equal_parents_yield_the_parent():
@@ -646,12 +657,21 @@ def _craft_rejection(operator, kind, where, buffered):
     }[kind]
     children = sorted(set(owners))
     child = {"first": children[0], "middle": children[len(children) // 2], "last": children[-1]}[where]
-    at = firsts[owners.index(child)]
-    words, half = REJECT_WORDS.copy(), REJECT_HALF
-    if at < 0:
-        half = 0
-    else:
-        words[at // 2] &= np.uint64(0xFFFFFFFF << 32 if at % 2 == 0 else 0xFFFFFFFF)
+    return _plant_rejections(REJECT_WORDS, REJECT_HALF, [firsts[owners.index(child)]])
+
+
+def _plant_rejections(words, half, ats):
+    """Copies of the raw words and buffered half with a half-word of 0 at each of ats.
+
+    ats name half-words as _RawBlock does: word w's low half at 2w, its high
+    half at 2w + 1, and the buffered half at -1.
+    """
+    words = words.copy()
+    for at in ats:
+        if at < 0:
+            half = 0
+        else:
+            words[at // 2] &= np.uint64(0xFFFFFFFF << 32 if at % 2 == 0 else 0xFFFFFFFF)
     return words, half
 
 

@@ -75,6 +75,11 @@ def test_derive_stream_trailing_zero_key_is_distinct():
     assert not np.array_equal(a, b)
 
 
+def test_derive_stream_without_a_key_rejected():
+    with pytest.raises(ValueError, match="^derive_stream requires at least one key component$"):
+        derive_stream(42)
+
+
 def test_derive_stream_is_order_independent():
     a_first = derive_stream(7, 1, 0).random_array(3)
     _ = derive_stream(7, 1, 1).random_array(3)

@@ -38,7 +38,6 @@ def test_parse_minimal_triangle(triangle):
     assert triangle.dimension == 3
     assert triangle.coords.shape == (3, 2)
     assert triangle.coords[2].tolist() == [0.0, 4.0]
-    assert triangle.edge_weight_kind == "EUC_2D"
 
 
 def test_parse_berlin52(berlin52):
@@ -74,6 +73,21 @@ def test_missing_headers_rejected():
         parse_instance("\n".join(l for l in TRIANGLE_TSP.splitlines() if "DIMENSION" not in l))
     with pytest.raises(TsplibParseError, match="EDGE_WEIGHT_TYPE"):
         parse_instance("\n".join(l for l in TRIANGLE_TSP.splitlines() if "EDGE_WEIGHT" not in l))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("NAME: x\nEDGE_WEIGHT_TYPE: EUC_2D\nEOF\n", "missing DIMENSION header"),
+    ("NAME: x\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nEOF\n", "missing NODE_COORD_SECTION"),
+], ids=["dimension", "section"])
+def test_missing_header_or_section_is_named(text, message):
+    with pytest.raises(TsplibParseError, match=f"^{message}$"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("coords", [np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6)], ids=["wide", "short", "flat"])
+def test_instance_with_wrongly_shaped_coordinates_rejected(coords):
+    with pytest.raises(TsplibParseError, match=r"^coordinate array shape .* does not match dimension 3$"):
+        Instance("test", 3, coords)
 
 
 def test_single_city_rejected():
