@@ -60,6 +60,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is one line, as every failure is
         raise _Failure(2, message)
 
+    def print_help(self, file=None):  # argparse's own drops a write error; main reports it
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     for dest, field, cast, metavar, text in _GA_FLAGS:

@@ -20,7 +20,7 @@ from math import ceil, isqrt
 import numpy as np
 
 from .population import GaConfig, Population, _check_dimension, fitness_of
-from .rng import RngStream
+from .rng import _U32, RngStream
 
 # Bytes of tour rows per block of crossed children: enough rows to amortize
 # numpy's per-call cost on short tours, few enough that a block's
@@ -173,14 +173,16 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
     """_plan's draws, made by array operations on the stream's raw-word block; pairs as (m, 2).
 
     Without swaps the cuts and points are one run of half-words. With swaps a
-    walk draws each child's cut and points with rng.randint, counts the hits
-    among its probability draws in the block's hit list and places a
-    half-word per hit; the partners are drawn at the end. When Lemire's
-    method rejects a half-word of the run or a partner, the block rewinds to
-    the plan's start and _plan plans the generation one draw at a time, as
-    it does for a stream without a block (a scripted one) and for tours the
-    half-words cannot serve: at n <= 2 a cut's span of 0 takes none, and
-    from n = 92,682 a point's span passes 2**32 - 1 and takes full words.
+    walk reads each crossed child's cut from its half-word, handing a
+    rejected one to blk.bounded, draws HPRM's points with rng.randint,
+    counts the hits among a child's probability draws in the block's hit
+    list and places a half-word per hit; the partners are drawn at the end.
+    When Lemire's method rejects a half-word of the run or a partner, the
+    block rewinds to the plan's start and _plan plans the generation one
+    draw at a time, as it does for a stream without a block (a scripted
+    one) and for tours the half-words cannot serve: at n <= 2 a cut's span
+    of 0 takes none, and from n = 92,682 a point's span passes 2**32 - 1 and
+    takes full words.
     """
     blk = getattr(rng, "_block", None)
     cspan, pspan = n * (n - 1) // 2 - 1, n * (n + 1) // 2 - 1
@@ -200,39 +202,64 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
     else:
         hits = blk.below(pm)
         randint = rng.randint
+        # The block's state, held here and written back around every call that draws from it.
+        raw, pos, has_half, half_at = blk.raw, blk.pos, blk.has_half, blk.half_at
+        cut_excl = cspan + 1
+        cut_threshold = (_U32 - cspan) % cut_excl  # Lemire's, as in blk.bounded(cspan)
         cut_ranks, point_ranks, walk, buffered_at = [], [], [], []
         i = h = swaps = 0
         for child, cross in enumerate(crossed.tolist()):
-            if cross:
-                cut_ranks.append(randint(0, cspan))
+            if cross:  # blk.bounded(cspan), inline: the buffered half, else a new word's low half
+                if has_half:
+                    has_half, half = False, raw.item(half_at >> 1) >> 32 if half_at >= 0 else blk.half
+                else:
+                    if pos == raw.size:
+                        blk.grow(pos + 1)
+                        raw = blk.raw
+                    pos, has_half, half_at, half = pos + 1, True, 2 * pos + 1, raw.item(pos) & _U32
+                m = half * cut_excl
+                if m & _U32 >= cut_threshold:
+                    cut_ranks.append(m >> 32)
+                else:  # rejected: the block redraws from where this draw began
+                    blk.pos, blk.has_half, blk.half_at = pos - has_half, not has_half, half_at
+                    blk.q -= 1  # the half-word counted below, which the redraw counts again
+                    cut_ranks.append(blk.bounded(cspan))
+                    raw, pos, has_half, half_at = blk.raw, blk.pos, blk.has_half, blk.half_at
             if op == "HPRM":
+                blk.pos, blk.has_half, blk.half_at = pos, has_half, half_at
                 point_ranks.append(randint(0, pspan))
-                a, b = _unrank_pairs(n, point_ranks[-1], False)
-                k = (b - a + 2) // 2  # _swap_draws with pm > 0
+                raw, pos, has_half, half_at = blk.raw, blk.pos, blk.has_half, blk.half_at
+                # The point's width b - a, unranked as _unrank_pairs does; k as _swap_draws.
+                rev = pspan - point_ranks[-1]
+                t = (isqrt(8 * rev + 1) - 1) // 2
+                k = (t * (t + 3) // 2 - rev + 2) // 2
             # The child's k probability words from d, then the words split for
             # its partners' half-words: blk.reserve(k) and blk.halves(h), inline.
-            d = blk.pos
+            d = pos
             e = d + k
-            if e > blk.raw.size:
+            if e > raw.size:
                 blk.grow(e)
+                raw = blk.raw
             i = bisect_left(hits, d, i + h)
             h = bisect_left(hits, e, i) - i
             if h:
-                buffered = blk.has_half
+                buffered = has_half
                 if buffered:  # the first partner takes the buffered half
-                    buffered_at += (swaps, blk.half_at)
+                    buffered_at += (swaps, half_at)
                 split = (h - buffered + 1) // 2
                 if split:
-                    if e + split > blk.raw.size:
+                    if e + split > raw.size:
                         blk.grow(e + split)
-                    blk.half_at = 2 * (e + split) - 1
-                blk.has_half = bool((h + buffered) & 1)
+                        raw = blk.raw
+                    half_at = 2 * (e + split) - 1
+                has_half = bool((h + buffered) & 1)
                 # Hit and half-word indices as offsets from the child's first swap.
                 walk += (h, child, d, i - swaps, 2 * e - buffered - swaps)
                 swaps += h
                 e += split
-            blk.pos = e
-        blk.q += swaps
+            pos = e
+        blk.pos, blk.has_half, blk.half_at = pos, has_half, half_at
+        blk.q += swaps + len(cut_ranks)
         walk = np.array(walk, dtype=np.int64).reshape(-1, 5)
         rows, d, hit, at = np.repeat(walk[:, 1:], walk[:, 0], axis=0).T
         swap = np.arange(swaps)

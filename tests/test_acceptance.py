@@ -72,6 +72,7 @@ def test_criterion_1_ground_truth_under_one_second():
     _gate(1, ok, f"validate printed {proc.stdout.strip()!r} in {elapsed:.3f} s")
 
 
+@pytest.mark.slow
 def test_criterion_2_direction_and_budget(full_comparison):
     report, elapsed, _ = full_comparison
     means = {s.operator: s.mean for s in report.operators}
@@ -104,6 +105,7 @@ def test_criterion_3_hprm_at_zero_pm_equals_rsm_exhaustively():
     _gate(3, mismatches == 0, f"{cases} tour/point cases, {mismatches} mismatches")
 
 
+@pytest.mark.slow
 def test_criterion_4_closure_fuzz():
     per_op = 10**5
     rng = RngStream(20260822)
@@ -188,6 +190,7 @@ def test_criterion_7_compare_byte_determinism(tmp_path):
     _gate(7, same, "convergence.csv and report.json byte-identical across reruns")
 
 
+@pytest.mark.slow
 def test_criterion_8_monotonicity_and_lower_bound(full_comparison):
     report, _, out = full_comparison
     rows = (out / "convergence.csv").read_text(encoding="utf-8").splitlines()[1:]

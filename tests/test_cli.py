@@ -805,6 +805,22 @@ def test_stdout_closed_after_the_first_line_is_exit_1_without_traceback(tmp_path
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", [[], ["solve"]], ids=["tspga", "solve"])
+def test_help_that_cannot_be_written_is_exit_1_in_one_line(command, unbuffered):
+    # argparse's own print_help drops the write error: unbuffered, the help
+    # was lost with exit 0; buffered, the final flush failed with exit 120.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tspga", *command, "--help"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env={**cli_env(), "PYTHONUNBUFFERED": unbuffered},
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "tspga: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("command", ["validate", "compare"])
 def test_stdout_that_cannot_be_written_is_exit_1_in_one_line(tmp_path, command):
     # /dev/full takes no byte: the first line written (the length, or

@@ -554,16 +554,17 @@ def test_array_plan_equals_scalar_plan(operator, pm, crossover_rate):
             assert (0 < grown < 200) == (operator == "HPRM")
 
 
-def test_walk_draws_each_cut_and_point_with_one_randint(monkeypatch):
-    # The walk draws a crossed child's cut, and an HPRM child's points, with
-    # one RngStream.randint call each, in child order, and nothing else.
-    # At n=52 no draw of these seeds meets a rejection.
+def test_walk_reads_cuts_inline_and_draws_each_point_with_one_randint(monkeypatch):
+    # The walk reads a crossed child's cut from its half-word itself and
+    # draws an HPRM child's points with one RngStream.randint call, in child
+    # order; PSM makes no randint call. At n=52 no draw of these seeds meets
+    # a rejection, so each cut, point and partner takes one half-word.
     calls = []
     randint = RngStream.randint
     monkeypatch.setattr(RngStream, "randint",
                         lambda rng, lo, hi: calls.append(hi) or randint(rng, lo, hi))
     n = 52
-    cut, point = n * (n - 1) // 2 - 1, n * (n + 1) // 2 - 1
+    point = n * (n + 1) // 2 - 1
     for operator, seed in itertools.product(["PSM", "HPRM"], range(5)):
         rng = RngStream(seed)
         with rng.block(1):
@@ -572,9 +573,8 @@ def test_walk_draws_each_cut_and_point_with_one_randint(monkeypatch):
             cuts, points, rows, _, _ = _plan_block(n, operator, 0.05, crossed, rng)
             q = rng._block.q
         hprm = operator == "HPRM"
-        expected = [span for cross in crossed.tolist() for span in [cut] * cross + [point] * hprm]
-        assert calls == expected
-        assert q == len(expected) + len(rows)  # one half-word each: no rejection
+        assert calls == [point] * (hprm * 100)
+        assert q == len(cuts) + len(points) + len(rows)
         assert len(cuts) == crossed.sum() and len(points) == hprm * 100
 
 
