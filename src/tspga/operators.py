@@ -202,8 +202,10 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
     else:
         hits = blk.below(pm)
         randint = rng.randint
-        # The block's state, held here and written back around every call that draws from it.
+        # The block's state, held here and written back around every call that
+        # draws from it; raw and its size change only when the block grows.
         raw, pos, has_half, half_at = blk.raw, blk.pos, blk.has_half, blk.half_at
+        size, hprm = raw.size, op == "HPRM"
         cut_excl = cspan + 1
         cut_threshold = (_U32 - cspan) % cut_excl  # Lemire's, as in blk.bounded(cspan)
         cut_ranks, point_ranks, walk, buffered_at = [], [], [], []
@@ -213,9 +215,9 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
                 if has_half:
                     has_half, half = False, raw.item(half_at >> 1) >> 32 if half_at >= 0 else blk.half
                 else:
-                    if pos == raw.size:
+                    if pos == size:
                         blk.grow(pos + 1)
-                        raw = blk.raw
+                        raw, size = blk.raw, blk.raw.size
                     pos, has_half, half_at, half = pos + 1, True, 2 * pos + 1, raw.item(pos) & _U32
                 m = half * cut_excl
                 if m & _U32 >= cut_threshold:
@@ -225,10 +227,12 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
                     blk.q -= 1  # the half-word counted below, which the redraw counts again
                     cut_ranks.append(blk.bounded(cspan))
                     raw, pos, has_half, half_at = blk.raw, blk.pos, blk.has_half, blk.half_at
-            if op == "HPRM":
+                    size = raw.size
+            if hprm:
                 blk.pos, blk.has_half, blk.half_at = pos, has_half, half_at
                 point_ranks.append(randint(0, pspan))
                 raw, pos, has_half, half_at = blk.raw, blk.pos, blk.has_half, blk.half_at
+                size = raw.size
                 # The point's width b - a, unranked as _unrank_pairs does; k as _swap_draws.
                 rev = pspan - point_ranks[-1]
                 t = (isqrt(8 * rev + 1) - 1) // 2
@@ -237,9 +241,9 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
             # its partners' half-words: blk.reserve(k) and blk.halves(h), inline.
             d = pos
             e = d + k
-            if e > raw.size:
+            if e > size:
                 blk.grow(e)
-                raw = blk.raw
+                raw, size = blk.raw, blk.raw.size
             i = bisect_left(hits, d, i + h)
             h = bisect_left(hits, e, i) - i
             if h:
@@ -248,11 +252,11 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
                     buffered_at += (swaps, half_at)
                 split = (h - buffered + 1) // 2
                 if split:
-                    if e + split > raw.size:
+                    if e + split > size:
                         blk.grow(e + split)
-                        raw = blk.raw
+                        raw, size = blk.raw, blk.raw.size
                     half_at = 2 * (e + split) - 1
-                has_half = bool((h + buffered) & 1)
+                has_half = (h + buffered) % 2 == 1
                 # Hit and half-word indices as offsets from the child's first swap.
                 walk += (h, child, d, i - swaps, 2 * e - buffered - swaps)
                 swaps += h
