@@ -36,8 +36,9 @@ class InvalidTourError(TsplibParseError):
 class Instance:
     """A Euclidean city set.
 
-    coords is an (n, 2) float array in file order; distances are the rounded
-    2D Euclidean metric (TSPLIB EUC_2D), the only one parse_instance admits.
+    coords is an (n, 2) float array in file order, a read-only copy of the
+    array given, with finite values; distances are the rounded 2D
+    Euclidean metric (TSPLIB EUC_2D), the only one parse_instance admits.
     """
 
     name: str
@@ -47,11 +48,16 @@ class Instance:
     def __post_init__(self):
         if self.dimension < 2:
             raise TsplibParseError(f"dimension must be at least 2, got {self.dimension}")
-        coords = np.asarray(self.coords, dtype=float)
+        # A copy: no write through the caller's array or its base reaches
+        # an Instance that parse_instance may hand to every later caller.
+        coords = np.array(self.coords, dtype=float)
         if coords.shape != (self.dimension, 2):
             raise TsplibParseError(
                 f"coordinate array shape {coords.shape} does not match dimension {self.dimension}"
             )
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            raise TsplibParseError(f"city {int(np.flatnonzero(~finite)[0]) + 1} has a non-finite coordinate")
         coords.setflags(write=False)  # shared read-only across concurrent runs
         object.__setattr__(self, "coords", coords)
         # Keeps every closed tour's length below the int64 limit. Python
@@ -70,6 +76,10 @@ def _edge_bound(coords: np.ndarray) -> float:
     return hypot(x1 - x0, y1 - y0) + 1.0
 
 
+# The text parse_instance last parsed and its Instance.
+_last_parsed: tuple[str, Instance] | None = None
+
+
 def parse_instance(text: str) -> Instance:
     """Parse TSPLIB instance text into an Instance.
 
@@ -79,7 +89,22 @@ def parse_instance(text: str) -> Instance:
     Header keys not understood (COMMENT and friends) are ignored. A
     well-formed section is read in one numpy pass; otherwise the line loop
     reads it, and its errors name the first bad line's 1-based number.
+
+    A text equal to the last one parsed in this process returns that
+    parse's Instance, read-only, without parsing it again. The key is the
+    text itself, so a file rewritten in place is parsed anew; only the last
+    text and its Instance are kept, and a text that raises raises again.
     """
+    global _last_parsed
+    last = _last_parsed  # read once: a thread that replaces it costs a parse, no more
+    if last is not None and last[0] == text:
+        return last[1]
+    inst = _parse_instance(text)
+    _last_parsed = text, inst
+    return inst
+
+
+def _parse_instance(text: str) -> Instance:
     name = ""
     dimension: int | None = None
     weight_type: str | None = None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tspga.data
+import tspga.tsplib
 from tspga import build_distance_matrix, load_instance
 
 
@@ -98,3 +99,14 @@ def triangle():
 @pytest.fixture(scope="session")
 def triangle_dm(triangle):
     return build_distance_matrix(triangle)
+
+
+@pytest.fixture()
+def section_reads(monkeypatch):
+    """No instance text remembered; returns the dimensions of the coordinate sections read."""
+    monkeypatch.setattr(tspga.tsplib, "_last_parsed", None)
+    reads = []
+    read = tspga.tsplib._read_coord_section
+    monkeypatch.setattr(tspga.tsplib, "_read_coord_section",
+                        lambda lines, dimension: reads.append(dimension) or read(lines, dimension))
+    return reads

@@ -217,6 +217,18 @@ def test_validate_empty_section_is_one_line(tmp_path, capsys, target, tail, sect
     assert caught == []
 
 
+def test_validate_reads_an_instance_rewritten_in_place(tmp_path, capsys, triangle_file, section_reads):
+    # Same byte length, one coordinate changed: size and mtime may match, the text does not.
+    tour = tmp_path / "abc.tour"
+    tour.write_text("TOUR_SECTION\n1 2 3 -1\n")
+    argv = ["validate", triangle_file, str(tour)]
+    assert main(argv) == main(argv) == 0
+    Path(triangle_file).write_text(TRIANGLE_TSP.replace("3 0 4", "3 0 8"))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "12\n12\n20\n"
+    assert section_reads == [3, 3]
+
+
 # ---------------------------------------------------------------- solve
 
 def test_solve_replays_exactly(triangle_file):

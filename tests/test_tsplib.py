@@ -111,6 +111,52 @@ def test_non_finite_coordinate_rejected(old, new, line):
         parse_instance(TRIANGLE_TSP.replace(old, new))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_instance_with_non_finite_coordinates_rejected(value):
+    coords = np.zeros((3, 2))
+    coords[1, 0] = coords[2, 1] = value
+    with pytest.raises(TsplibParseError, match="^city 2 has a non-finite coordinate$"):
+        Instance("test", 3, coords)
+
+
+def test_instance_owns_its_coordinates():
+    base = np.arange(8.0).reshape(4, 2)
+    given = base[:3]  # a view: writes through base would reach it
+    inst = Instance("test", 3, given)
+    given[0, 0] = 9.0  # the caller's array stays writable
+    base[1, 1] = 7.0
+    assert inst.coords.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert not inst.coords.flags.writeable
+    with pytest.raises(ValueError):
+        inst.coords[0, 0] = 1.0
+
+
+def test_parsing_one_text_again_returns_the_same_instance(section_reads):
+    first = parse_instance(TRIANGLE_TSP)
+    again = "".join(TRIANGLE_TSP)
+    assert again is not TRIANGLE_TSP
+    assert parse_instance(again) is first
+    assert section_reads == [3]
+
+
+def test_a_different_text_is_parsed_and_replaces_the_last(section_reads):
+    other = TRIANGLE_TSP.replace("3 0 4", "3 0 8")
+    first = parse_instance(TRIANGLE_TSP)
+    second = parse_instance(other)
+    assert second is not first and second.coords[2].tolist() == [0.0, 8.0]
+    assert parse_instance(other) is second
+    assert parse_instance(TRIANGLE_TSP) is not first  # only the last text is kept
+    assert section_reads == [3, 3, 3]
+
+
+def test_a_malformed_text_raises_on_every_call(section_reads):
+    bad = TRIANGLE_TSP.replace("2 3 0", "2 3 zebra")
+    for _ in range(2):
+        with pytest.raises(TsplibParseError, match="line 7"):
+            parse_instance(bad)
+    assert section_reads == [3, 3]
+
+
 @pytest.mark.parametrize("parse,text,message", [
     (parse_instance,
      "DIMENSION: 1000000000000\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 3 0\n3 0 4\nEOF\n",
