@@ -14,6 +14,7 @@ from .experiment import (
     emit_convergence_csv,
     format_summary_table,
     generations_to_best,
+    run_cell,
     run_comparison,
     summarize,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "parse_tour",
     "random_tour",
     "render_tour",
+    "run_cell",
     "run_comparison",
     "select_roulette",
     "summarize",

@@ -228,10 +228,8 @@ def cmd_compare(args) -> int:
     except ValueError as e:
         raise _Failure(2, str(e)) from None
     print(f"root_seed {seed}", flush=True)
-    try:
+    with _writing(ecfg.output_dir):  # both files are checked before any cell runs
         report = run_comparison(ecfg, inst)
-    except OSError as e:
-        raise _Failure(1, f"cannot write {ecfg.output_dir}: {e}") from None
     print(format_summary_table(report))
     out = Path(ecfg.output_dir)
     print(f"wrote {out / CONVERGENCE_CSV} and {out / REPORT_JSON}", file=sys.stderr)

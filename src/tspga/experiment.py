@@ -14,12 +14,13 @@ import os
 import stat
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .ga import RunResult, evolve
-from .population import GaConfig, evaluate, init_population, normalize_operator
+from .population import GaConfig, Population, evaluate, init_population, normalize_operator
 from .rng import derive_stream
 from .tsplib import Instance, build_distance_matrix, load_instance
 
@@ -40,7 +41,7 @@ class ExperimentConfig:
     ga is the template configuration; its mutation_operator is overridden
     per arm, and all streams derive from root_seed.
     Run indices are 0-based and are the stream-derivation keys, so any
-    reported run can be replayed from (root_seed, run) alone.
+    reported run can be replayed from (root_seed, run) alone, by run_cell.
     """
 
     ga: GaConfig
@@ -199,12 +200,26 @@ def format_summary_table(report: ComparisonReport) -> str:
     return "\n".join(lines)
 
 
-def _run_cell(payload):
-    """Evolve one (operator, run) cell; module-level so process pools can ship it."""
-    operator, run, ga, dm, initial, root_seed = payload
-    cfg = replace(ga, mutation_operator=operator)
-    rng = derive_stream(root_seed, _EVOLVE_STREAM, run)
-    return operator, run, evolve(cfg, dm, initial, rng)
+def _initial(cfg: ExperimentConfig, run: int, dm: np.ndarray) -> Population:
+    """Run run's initial population, drawn from (root_seed, run) and scored."""
+    return evaluate(init_population(cfg.ga, len(dm), derive_stream(cfg.root_seed, _INIT_STREAM, run)), dm)
+
+
+def run_cell(
+    cfg: ExperimentConfig, operator: str, run: int, dm: np.ndarray, initial: Population | None = None
+) -> RunResult:
+    """Evolve cell (operator, run) of cfg's comparison, as run_comparison does.
+
+    dm is the distance matrix of cfg's instance. initial is the run's scored
+    initial population; when omitted it is drawn and scored here. A run
+    outside range(cfg.runs) or an unknown operator raises ValueError.
+    """
+    if run not in range(cfg.runs):
+        raise ValueError(f"run {run} outside range({cfg.runs})")
+    ga = replace(cfg.ga, mutation_operator=operator)
+    if initial is None:
+        initial = _initial(cfg, run, dm)
+    return evolve(ga, dm, initial, derive_stream(cfg.root_seed, _EVOLVE_STREAM, run))
 
 
 def _usable_cpus() -> int:
@@ -219,61 +234,54 @@ def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> Compa
 
     Writes convergence.csv and report.json into output_dir and returns the
     report. Identical configs produce byte-identical files; neither file
-    carries wall-clock content. Both files are written through staged and
-    renamed into place once both are complete, so a run that fails leaves
-    the previous pair untouched. inst, when given, is the
-    instance at instance_path, already loaded.
+    carries wall-clock content. Both files are staged before any cell runs,
+    so a path that cannot be written fails first, and renamed into place
+    once both are complete, so a run that fails leaves the previous pair
+    untouched. inst, when given, is the instance at instance_path, already
+    loaded. Each cell is run_cell's, given its run's initial population.
     """
     if inst is None:
         inst = load_instance(cfg.instance_path)
     dm = build_distance_matrix(inst)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    inits = [  # each run's initial population, scored once for every arm
-        evaluate(init_population(cfg.ga, inst.dimension, derive_stream(cfg.root_seed, _INIT_STREAM, run)), dm)
-        for run in range(cfg.runs)
-    ]
-    payloads = [
-        (operator, run, cfg.ga, dm, inits[run], cfg.root_seed)
-        for operator in cfg.operators
-        for run in range(cfg.runs)
-    ]
-    # A pool starts all its workers at once, so it starts only when more than
-    # one would run: never more than there are cells, nor CPUs to run them.
-    workers = min(cfg.jobs, len(payloads), _usable_cpus())
-    with contextlib.ExitStack() as stack:
-        pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers)) if workers > 1 else None
-        cells = pool.map(_run_cell, payloads) if pool else map(_run_cell, payloads)
-        results = {(operator, run): res for operator, run, res in cells}
-
-    summaries = []
-    for operator in cfg.operators:
-        finals = [results[(operator, run)].best_length for run in range(cfg.runs)]
-        to_best = [
-            generations_to_best(results[(operator, run)], int(inits[run].lengths.min()))
-            for run in range(cfg.runs)
-        ]
-        summaries.append(
-            OperatorSummary(
-                **asdict(summarize(finals)),
-                operator=operator,
-                mean_generations_to_best=float(np.mean(to_best)),
-                final_bests=tuple(finals),
-            )
-        )
-
-    report = ComparisonReport(
-        instance=inst.name,
-        runs=cfg.runs,
-        root_seed=cfg.root_seed,
-        ga=cfg.ga,
-        operators=tuple(summaries),
-    )
-    report_text = _report_json(report)
     with staged(out_dir / CONVERGENCE_CSV) as csv_path, staged(out_dir / REPORT_JSON) as json_path:
+        inits = [_initial(cfg, run, dm) for run in range(cfg.runs)]  # scored once for every arm
+        cells = [(operator, run) for operator in cfg.operators for run in range(cfg.runs)]
+        operators, runs = zip(*cells)
+        # A pool starts all its workers at once, so it starts only when more than
+        # one would run: never more than there are cells, nor CPUs to run them.
+        workers = min(cfg.jobs, len(cells), _usable_cpus())
+        with contextlib.ExitStack() as stack:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers)) if workers > 1 else None
+            args = (repeat(cfg), operators, runs, repeat(dm), [inits[run] for run in runs])
+            results = dict(zip(cells, pool.map(run_cell, *args) if pool else map(run_cell, *args)))
+
+        summaries = []
+        for operator in cfg.operators:
+            finals = [results[(operator, run)].best_length for run in range(cfg.runs)]
+            to_best = [
+                generations_to_best(results[(operator, run)], int(inits[run].lengths.min()))
+                for run in range(cfg.runs)
+            ]
+            summaries.append(
+                OperatorSummary(
+                    **asdict(summarize(finals)),
+                    operator=operator,
+                    mean_generations_to_best=float(np.mean(to_best)),
+                    final_bests=tuple(finals),
+                )
+            )
+
+        report = ComparisonReport(
+            instance=inst.name,
+            runs=cfg.runs,
+            root_seed=cfg.root_seed,
+            ga=cfg.ga,
+            operators=tuple(summaries),
+        )
         emit_convergence_csv({key: res.trace for key, res in results.items()}, csv_path)
-        json_path.write_text(report_text, encoding="utf-8")
+        json_path.write_text(_report_json(report), encoding="utf-8")
     return report
 
 

@@ -759,6 +759,17 @@ def test_compare_output_under_a_file_is_exit_1_naming_the_directory(tmp_path, ca
     assert err.startswith(f"tspga: cannot write {out_dir}: ") and err.count("\n") == 1
 
 
+def test_compare_in_a_closed_directory_fails_before_any_cell_runs(tmp_path, monkeypatch, capsys, closed_directory):
+    def never(*args):
+        raise AssertionError("evolve ran")
+
+    monkeypatch.setattr(tspga.experiment, "evolve", never)
+    out = tmp_path / "out"
+    assert main(["compare", BERLIN, "--runs", "3", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("root_seed 1\n", f"tspga: cannot write {out}: Permission denied\n")
+    assert list(out.iterdir()) == []
+
+
 def test_compare_default_output_dir(tmp_path):
     proc = run_cli(
         "compare", BERLIN, "--operators", "rsm", "--runs", "1",

@@ -17,6 +17,7 @@ from tspga import (
     TraceRecord,
     emit_convergence_csv,
     generations_to_best,
+    run_cell,
     run_comparison,
     summarize,
 )
@@ -185,6 +186,37 @@ def test_initial_populations_shared_across_arms():
     assert not np.array_equal(a.tours, c.tours)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_cell_replays_from_the_root_seed_and_its_run(tmp_path, jobs):
+    # The replay contract: run_cell(cfg, operator, run, dm) is the comparison's
+    # own cell, whether the comparison ran its cells in-process or in a pool.
+    cfg = _config(tmp_path, jobs=jobs)
+    run_comparison(cfg)
+    doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    rows = (tmp_path / "out" / "convergence.csv").read_text(encoding="utf-8").splitlines()
+    dm = build_distance_matrix(load_instance(cfg.instance_path))
+    for operator in cfg.operators:
+        for run in range(cfg.runs):
+            cell = run_cell(cfg, operator, run, dm)
+            assert cell.best_length == doc["operators"][operator]["final_bests"][run]
+            emit_convergence_csv({(operator, run): cell.trace}, tmp_path / "cell.csv")
+            cell_rows = (tmp_path / "cell.csv").read_text(encoding="utf-8").splitlines()
+            assert cell_rows[1:] == [row for row in rows if row.startswith(f"{operator},{run},")]
+
+            initial = evaluate(init_population(cfg.ga, len(dm), derive_stream(cfg.root_seed, _INIT_STREAM, run)), dm)
+            given = run_cell(cfg, operator, run, dm, initial)
+            assert (given.best_length, given.trace, given.generations_run) == \
+                   (cell.best_length, cell.trace, cell.generations_run)
+            assert np.array_equal(given.best_tour, cell.best_tour)
+
+
+def test_run_cell_rejects_a_cell_outside_the_comparison(tmp_path, berlin52_dm):
+    cfg = _config(tmp_path)
+    for operator, run in [("RSM", cfg.runs), ("RSM", -1), ("2OPT", 0)]:
+        with pytest.raises(ValueError):
+            run_cell(cfg, operator, run, berlin52_dm)
+
+
 def test_comparison_replay_is_byte_identical(tmp_path):
     cfg_a = _config(tmp_path / "a")
     cfg_b = _config(tmp_path / "b")
@@ -255,8 +287,8 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(tspga.experiment, "ProcessPoolExecutor", InlinePool)
     return sizes
