@@ -6,6 +6,8 @@ loop; and a paired experiment harness that compares the mutation operators
 over shared initial populations with fully replayable randomness.
 """
 
+import types as _types
+
 from .experiment import (
     ComparisonReport,
     ExperimentConfig,
@@ -59,50 +61,8 @@ from .tsplib import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonReport",
-    "ExperimentConfig",
-    "GaConfig",
-    "Instance",
-    "InvalidTourError",
-    "MUTATION_OPERATORS",
-    "OperatorSummary",
-    "Population",
-    "RngStream",
-    "RunResult",
-    "SummaryStats",
-    "TraceRecord",
-    "TsplibParseError",
-    "build_distance_matrix",
-    "closed_tour_length",
-    "crossover_ox",
-    "derive_stream",
-    "draw_cut_points",
-    "draw_mutation_points",
-    "emit_convergence_csv",
-    "evaluate",
-    "evolve",
-    "fitness_of",
-    "format_summary_table",
-    "generations_to_best",
-    "init_population",
-    "is_permutation",
-    "load_instance",
-    "load_tour",
-    "mutate_hprm",
-    "mutate_psm",
-    "mutate_rsm",
-    "normalize_operator",
-    "parse_instance",
-    "parse_tour",
-    "random_tour",
-    "render_tour",
-    "run_cell",
-    "run_comparison",
-    "select_roulette",
-    "summarize",
-    "tour_length",
-    "tour_lengths",
-    "variation",
-    "wheel_index",
-]
+# Every public name bound above that is not a submodule, so the imports are the one list.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -69,7 +69,7 @@ def evolve(cfg: GaConfig, dm: np.ndarray, initial: Population, rng: RngStream) -
 
     trace = []
     for gen in range(1, cfg.max_generations + 1):
-        children = variation(pop, cfg, dm, rng)
+        children = variation(pop, cfg, rng)
         lengths = evaluate(children, dm).lengths
 
         gen_best_idx = int(lengths.argmin())

@@ -42,19 +42,17 @@ class Instance:
     """
 
     name: str
-    dimension: int
     coords: np.ndarray
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise TsplibParseError(f"dimension must be at least 2, got {self.dimension}")
         # A copy: no write through the caller's array or its base reaches
         # an Instance that parse_instance may hand to every later caller.
-        coords = np.array(self.coords, dtype=float)
-        if coords.shape != (self.dimension, 2):
-            raise TsplibParseError(
-                f"coordinate array shape {coords.shape} does not match dimension {self.dimension}"
-            )
+        coords = np.array(self.coords, dtype=float, ndmin=1)
+        n = coords.shape[0]
+        if n < 2:
+            raise TsplibParseError(f"dimension must be at least 2, got {n}")
+        if coords.shape != (n, 2):
+            raise TsplibParseError(f"coordinate array shape {coords.shape} is not ({n}, 2)")
         finite = np.isfinite(coords).all(axis=1)
         if not finite.all():
             raise TsplibParseError(f"city {int(np.flatnonzero(~finite)[0]) + 1} has a non-finite coordinate")
@@ -63,11 +61,14 @@ class Instance:
         # Keeps every closed tour's length below the int64 limit. Python
         # floats overflow to inf without a warning.
         bound = _edge_bound(coords)
-        if not self.dimension * bound < 2.0**63:
+        if not n * bound < 2.0**63:
             raise TsplibParseError(
-                f"coordinates span {bound - 1.0:.6g}; a {self.dimension}-city tour length "
-                "could overflow 64 bits"
+                f"coordinates span {bound - 1.0:.6g}; a {n}-city tour length could overflow 64 bits"
             )
+
+    @property
+    def dimension(self) -> int:
+        return self.coords.shape[0]
 
 
 def _edge_bound(coords: np.ndarray) -> float:
@@ -183,7 +184,7 @@ def _parse_instance(text: str) -> Instance:
                 f"DIMENSION is {dimension} but NODE_COORD_SECTION has {len(coords)} cities"
             )
         ordered = np.array([coords[i] for i in range(1, dimension + 1)], dtype=float)
-    return Instance(name=name, dimension=dimension, coords=ordered)
+    return Instance(name=name, coords=ordered)
 
 
 # One NODE_COORD_SECTION row, "index x y", as np.loadtxt reads it.

@@ -1,4 +1,4 @@
-"""Shared fixtures, the scripted RNG test double and the CLI subprocess environment."""
+"""Shared fixtures, the RNG test doubles and plan checks, and the CLI subprocess environment."""
 
 import os
 from contextlib import nullcontext
@@ -9,7 +9,7 @@ import pytest
 
 import tspga.data
 import tspga.tsplib
-from tspga import build_distance_matrix, load_instance
+from tspga import RngStream, build_distance_matrix, load_instance
 
 
 class ScriptedRng:
@@ -42,6 +42,42 @@ class ScriptedRng:
 
     def exhausted(self):
         return not self.reals and not self.ints
+
+
+def block_end(rng):
+    blk = rng._block
+    return blk.pos, blk.q, blk.has_half, blk.half
+
+
+def assert_same_plan(array_plan, scalar_plan):
+    names = ("cuts", "points", "rows", "swap_i", "swap_j")
+    for name, got, want in zip(names, array_plan, scalar_plan):
+        got = np.asarray(got, dtype=np.intp)
+        assert np.array_equal(got, np.array(want, dtype=np.intp).reshape(-1, *got.shape[1:])), name
+
+
+class LoggedStream(RngStream):
+    """A stream that logs each integer draw's range and where its first half-word sits."""
+
+    def randint(self, lo, hi):
+        blk = self._block
+        self.log.append((hi, blk.half_at if blk.has_half else 2 * blk.pos))
+        return super().randint(lo, hi)
+
+
+def plant_rejections(words, half, ats):
+    """Copies of the raw words and buffered half with a half-word of 0 at each of ats.
+
+    ats name half-words as _RawBlock does: word w's low half at 2w, its high
+    half at 2w + 1, and the buffered half at -1.
+    """
+    words = words.copy()
+    for at in ats:
+        if at < 0:
+            half = 0
+        else:
+            words[at // 2] &= np.uint64(0xFFFFFFFF << 32 if at % 2 == 0 else 0xFFFFFFFF)
+    return words, half
 
 
 def cli_env():

@@ -14,9 +14,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from test_operators import _assert_same_plan, _block_end, _LoggedStream, _plant_rejections  # noqa: E402
 from tspga import RngStream  # noqa: E402
 from tspga.operators import _plan, _plan_block  # noqa: E402
+from conftest import LoggedStream, assert_same_plan, block_end, plant_rejections  # noqa: E402
 
 PROFILE = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 
@@ -94,8 +94,8 @@ def test_array_plan_equals_scalar_plan(size, operator, crossover_rate, seed, hal
         assert np.array_equal(crossed, scalar_rng.random_array(children) < crossover_rate)
         array_plan = _plan_block(n, operator, pm, crossed, array_rng)
         scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
-        _assert_same_plan(array_plan, scalar_plan)
-        assert _block_end(array_rng) == _block_end(scalar_rng)
+        assert_same_plan(array_plan, scalar_plan)
+        assert block_end(array_rng) == block_end(scalar_rng)
     assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
 
 
@@ -116,7 +116,7 @@ def test_array_plan_equals_scalar_plan_through_planted_rejections(
     # The scalar plan on the stream's own words logs where each integer draw
     # takes its first half-word; a 0 planted at the picked ones makes Lemire's
     # method reject them, unless the draw's range divides 2**32.
-    probe = _entering_with(seed, half, _LoggedStream)
+    probe = _entering_with(seed, half, LoggedStream)
     probe.log = []
     with probe.block(1):
         crossed = probe.random_array(children) < crossover_rate
@@ -128,13 +128,13 @@ def test_array_plan_equals_scalar_plan_through_planted_rejections(
     array_rng, scalar_rng = _entering_with(seed, entering), _entering_with(seed, entering)
     with array_rng.block(words), scalar_rng.block(words):
         for rng in (array_rng, scalar_rng):
-            rng._block.raw = _plant_rejections(rng._block.raw, entering, ats)[0]
+            rng._block.raw = plant_rejections(rng._block.raw, entering, ats)[0]
         crossed = array_rng.random_array(children) < crossover_rate
         assert np.array_equal(crossed, scalar_rng.random_array(children) < crossover_rate)
         array_plan = _plan_block(n, operator, pm, crossed, array_rng)
         scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
-        _assert_same_plan(array_plan, scalar_plan)
-        assert _block_end(array_rng) == _block_end(scalar_rng)
+        assert_same_plan(array_plan, scalar_plan)
+        assert block_end(array_rng) == block_end(scalar_rng)
     assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
 
 

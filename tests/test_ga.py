@@ -101,8 +101,8 @@ def test_every_generation_stays_permutations(berlin52_dm, monkeypatch):
     real_variation = tspga.ga.variation
     seen = []
 
-    def checked(pop, cfg, dm, rng):
-        children = real_variation(pop, cfg, dm, rng)
+    def checked(pop, cfg, rng):
+        children = real_variation(pop, cfg, rng)
         assert children.size == cfg.population_size
         assert all(is_permutation(t, 52) for t in children.tours)
         seen.append(children.size)
@@ -164,9 +164,9 @@ def test_working_tours_widen_past_32768_cities(monkeypatch, n, working):
     real_variation = tspga.ga.variation
     seen = []
 
-    def recorded(pop, cfg, dm, rng):
+    def recorded(pop, cfg, rng):
         seen.append(pop.tours.dtype)
-        return real_variation(pop, cfg, dm, rng)
+        return real_variation(pop, cfg, rng)
 
     monkeypatch.setattr(tspga.ga, "variation", recorded)
     cfg = GaConfig(population_size=2, max_generations=1, mutation_operator="RSM")

@@ -93,7 +93,7 @@ EVOLVE_DIGESTS = {
 @pytest.fixture(scope="module")
 def large_dm():
     coords = np.random.default_rng(5000).uniform(0.0, 10_000.0, size=(LARGE_N, 2))
-    return build_distance_matrix(Instance("synthetic", LARGE_N, coords))
+    return build_distance_matrix(Instance("synthetic", coords))
 
 
 @pytest.mark.parametrize("operator,pm", sorted(EVOLVE_DIGESTS))
@@ -127,7 +127,7 @@ VALIDATE_TOURS = 3
 def _synthetic_instance(n):
     # One decimal keeps the written text an exact image of the array.
     coords = np.random.default_rng([2012, n]).uniform(0.0, 10_000.0, size=(n, 2)).round(1)
-    return Instance("synthetic", n, coords)
+    return Instance("synthetic", coords)
 
 
 def _instance_text(inst):
@@ -342,7 +342,7 @@ def _large_instance_text():
     # Coordinates over eleven decades, written in full repr: fractions and exponents.
     rng = np.random.default_rng(9)
     coords = rng.uniform(0.0, 10_000.0, size=(5000, 2)) * 10.0 ** rng.integers(-8, 3, size=(5000, 2))
-    return _instance_text(Instance("large", 5000, coords))
+    return _instance_text(Instance("large", coords))
 
 
 PARSE_CORPORA = {

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import tspga.operators
 from tspga import (
     GaConfig,
     Population,
@@ -15,6 +16,7 @@ from tspga import (
     draw_cut_points,
     draw_mutation_points,
     evaluate,
+    evolve,
     fitness_of,
     init_population,
     is_permutation,
@@ -28,7 +30,7 @@ from tspga import (
 )
 from tspga.operators import _plan, _plan_block, _swap_draws, _unrank_pairs
 from tspga.rng import _RawBlock
-from conftest import ScriptedRng
+from conftest import LoggedStream, ScriptedRng, assert_same_plan, block_end, plant_rejections
 
 
 # ---------------------------------------------------------------- RSM
@@ -377,7 +379,7 @@ def test_variation_disabled_yields_copies(berlin52_dm):
     pop = _evaluated_population(60, 12, berlin52_dm)
     cfg = GaConfig(population_size=12, crossover_rate=0.0, mutation_rate=0.0,
                    mutation_operator="PSM")
-    children = variation(pop, cfg, berlin52_dm, RngStream(61))
+    children = variation(pop, cfg, RngStream(61))
     originals = {tuple(t) for t in pop.tours}
     assert all(tuple(c) in originals for c in children.tours)
     assert not children.evaluated
@@ -386,8 +388,8 @@ def test_variation_disabled_yields_copies(berlin52_dm):
 def test_variation_replays(berlin52_dm):
     pop = _evaluated_population(62, 10, berlin52_dm)
     cfg = GaConfig(population_size=10)
-    a = variation(pop, cfg, berlin52_dm, RngStream(63))
-    b = variation(pop, cfg, berlin52_dm, RngStream(63))
+    a = variation(pop, cfg, RngStream(63))
+    b = variation(pop, cfg, RngStream(63))
     assert np.array_equal(a.tours, b.tours)
 
 
@@ -395,21 +397,15 @@ def test_variation_replays(berlin52_dm):
 def test_variation_children_are_permutations(berlin52_dm, operator):
     pop = _evaluated_population(64, 15, berlin52_dm)
     cfg = GaConfig(population_size=15, mutation_operator=operator)
-    children = variation(pop, cfg, berlin52_dm, RngStream(65))
+    children = variation(pop, cfg, RngStream(65))
     assert children.size == 15
     assert all(is_permutation(t, 52) for t in children.tours)
 
 
-def test_variation_requires_evaluated_population(berlin52_dm):
+def test_variation_requires_evaluated_population():
     pop = init_population(GaConfig(population_size=5), 52, RngStream(66))
     with pytest.raises(ValueError, match="evaluated"):
-        variation(pop, GaConfig(population_size=5), berlin52_dm, RngStream(67))
-
-
-def test_variation_rejects_a_matrix_of_another_size(berlin52_dm):
-    pop = _evaluated_population(68, 5, berlin52_dm)
-    with pytest.raises(ValueError, match="^population dimension 52 does not match matrix size 3$"):
-        variation(pop, GaConfig(population_size=5), np.zeros((3, 3), np.int64), RngStream(69))
+        variation(pop, GaConfig(population_size=5), RngStream(67))
 
 
 def _variation_one_child_at_a_time(pop, cfg, rng):
@@ -442,7 +438,7 @@ def test_variation_equals_single_tour_operators(berlin52_dm, operator, pm, seed)
     cfg = GaConfig(population_size=20, crossover_rate=0.7, mutation_rate=pm,
                    mutation_operator=operator)
     batched, manual = RngStream(seed), RngStream(seed)
-    children = variation(pop, cfg, berlin52_dm, batched)
+    children = variation(pop, cfg, batched)
     assert np.array_equal(children.tours, _variation_one_child_at_a_time(pop, cfg, manual))
     assert batched._gen.bit_generator.state == manual._gen.bit_generator.state
 
@@ -456,7 +452,7 @@ def test_variation_rsm_applied_to_every_child(berlin52_dm):
     # parent draws of 0.0 pick index 0; gates 0.9 skip crossover; point
     # rank 1 unranks to (a, b) = (0, 1) for every child.
     rng = ScriptedRng(reals=[0.0] * 6 + [0.9] * 3, ints=[1, 1, 1])
-    children = variation(pop, cfg, berlin52_dm, rng)
+    children = variation(pop, cfg, rng)
     expected = pop.tours[0].copy()
     expected[[0, 1]] = expected[[1, 0]]
     assert all(np.array_equal(c, expected) for c in children.tours)
@@ -499,18 +495,6 @@ def test_unranking_equals_isqrt_at_the_ends_of_large_ranges(n, strict):
     assert [_unrank_pairs(n, int(r), strict) for r in ranks[::97]] == expected[::97]
 
 
-def _block_end(rng):
-    blk = rng._block
-    return blk.pos, blk.q, blk.has_half, blk.half
-
-
-def _assert_same_plan(array_plan, scalar_plan):
-    names = ("cuts", "points", "rows", "swap_i", "swap_j")
-    for name, got, want in zip(names, array_plan, scalar_plan):
-        got = np.asarray(got, dtype=np.intp)
-        assert np.array_equal(got, np.array(want, dtype=np.intp).reshape(-1, *got.shape[1:])), name
-
-
 @pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
 @pytest.mark.parametrize("pm", [0.0, 0.05, 0.3, 1.0])
 @pytest.mark.parametrize("crossover_rate", [0.0, 0.7, 1.0])
@@ -528,8 +512,8 @@ def test_array_plan_equals_scalar_plan(operator, pm, crossover_rate):
             assert np.array_equal(crossed, scalar_rng.random_array(size) < crossover_rate)
             array_plan = _plan_block(n, operator, pm, crossed, array_rng)
             scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
-            _assert_same_plan(array_plan, scalar_plan)
-            assert _block_end(array_rng) == _block_end(scalar_rng), (n, buffered)
+            assert_same_plan(array_plan, scalar_plan)
+            assert block_end(array_rng) == block_end(scalar_rng), (n, buffered)
         assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
     if pm == 0.05 and crossover_rate == 0.7:
         # Whole generations on one stream (parents, gates, plan), blocks sized
@@ -547,8 +531,8 @@ def test_array_plan_equals_scalar_plan(operator, pm, crossover_rate):
                     assert np.array_equal(crossed, scalar_rng.random_array(10) < crossover_rate)
                     array_plan = _plan_block(n, operator, pm, crossed, array_rng)
                     scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
-                    _assert_same_plan(array_plan, scalar_plan)
-                    assert _block_end(array_rng) == _block_end(scalar_rng), (n, generation)
+                    assert_same_plan(array_plan, scalar_plan)
+                    assert block_end(array_rng) == block_end(scalar_rng), (n, generation)
                     grown += array_rng._block.raw.size > words
                 assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
             assert (0 < grown < 200) == (operator == "HPRM")
@@ -596,8 +580,8 @@ def test_array_plan_leaves_points_of_32_bits_to_the_scalar_plan(monkeypatch, n):
             crossed = array_rng.random_array(5) < 0.5
             assert np.array_equal(crossed, scalar_rng.random_array(5) < 0.5)
             array_plan = _plan_block(n, operator, pm, crossed, array_rng)
-            _assert_same_plan(array_plan, _plan(n, operator, pm, crossed.tolist(), scalar_rng))
-            assert _block_end(array_rng) == _block_end(scalar_rng), (operator, pm, buffered)
+            assert_same_plan(array_plan, _plan(n, operator, pm, crossed.tolist(), scalar_rng))
+            assert block_end(array_rng) == block_end(scalar_rng), (operator, pm, buffered)
         assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
     assert bool(calls) == (n < 92_682)
 
@@ -612,15 +596,6 @@ class _Words:
     def random_raw(self, k):
         self.used += k
         return self.words[self.used - k:self.used].copy()
-
-
-class _LoggedStream(RngStream):
-    """A stream that logs each integer draw's range and where its first half-word sits."""
-
-    def randint(self, lo, hi):
-        blk = self._block
-        self.log.append((hi, blk.half_at if blk.has_half else 2 * blk.pos))
-        return super().randint(lo, hi)
 
 
 def _on_words(words, buffered, half, stream=RngStream):
@@ -646,7 +621,7 @@ def _craft_rejection(operator, kind, where, buffered):
     n = REJECT_N
     his = {"cut": n * (n - 1) // 2 - 1, "point": n * (n + 1) // 2 - 1, "partner": n - 1}
     assert (1 << 32) % (his[kind] + 1), "this range never rejects"
-    rng = _on_words(REJECT_WORDS, buffered, REJECT_HALF, _LoggedStream)
+    rng = _on_words(REJECT_WORDS, buffered, REJECT_HALF, LoggedStream)
     rng.log = []
     plan = _plan(n, operator, 0.3, REJECT_CROSSED.tolist(), rng)
     firsts = [q for hi, q in rng.log if hi == his[kind]]
@@ -657,22 +632,7 @@ def _craft_rejection(operator, kind, where, buffered):
     }[kind]
     children = sorted(set(owners))
     child = {"first": children[0], "middle": children[len(children) // 2], "last": children[-1]}[where]
-    return _plant_rejections(REJECT_WORDS, REJECT_HALF, [firsts[owners.index(child)]])
-
-
-def _plant_rejections(words, half, ats):
-    """Copies of the raw words and buffered half with a half-word of 0 at each of ats.
-
-    ats name half-words as _RawBlock does: word w's low half at 2w, its high
-    half at 2w + 1, and the buffered half at -1.
-    """
-    words = words.copy()
-    for at in ats:
-        if at < 0:
-            half = 0
-        else:
-            words[at // 2] &= np.uint64(0xFFFFFFFF << 32 if at % 2 == 0 else 0xFFFFFFFF)
-    return words, half
+    return plant_rejections(REJECT_WORDS, REJECT_HALF, [firsts[owners.index(child)]])
 
 
 @pytest.mark.parametrize("operator,kind", [
@@ -689,8 +649,8 @@ def test_array_plan_resolves_every_rejection(operator, kind, where, buffered):
     array_rng, scalar_rng = _on_words(words, buffered, half), _on_words(words, buffered, half)
     array_plan = _plan_block(REJECT_N, operator, 0.3, REJECT_CROSSED, array_rng)
     scalar_plan = _plan(REJECT_N, operator, 0.3, REJECT_CROSSED.tolist(), scalar_rng)
-    _assert_same_plan(array_plan, scalar_plan)
-    assert _block_end(array_rng) == _block_end(scalar_rng)
+    assert_same_plan(array_plan, scalar_plan)
+    assert block_end(array_rng) == block_end(scalar_rng)
 
 
 @pytest.fixture
@@ -732,11 +692,27 @@ def test_variation_at_5000_cities_through_a_rejection(rejections, operator, seed
                      gen.integers(1_000_000, 2_000_000, size))
     cfg = GaConfig(population_size=size, crossover_rate=0.9, mutation_operator=operator)
     batched, manual = RngStream(seed), RngStream(seed)
-    children = variation(pop, cfg, np.broadcast_to(np.int64(0), (n, n)), batched)
+    children = variation(pop, cfg, batched)
     spans = {"cut": n * (n - 1) // 2 - 1, "point": n * (n + 1) // 2 - 1, "partner": n - 1}
     assert spans[kind] in rejections
     assert np.array_equal(children.tours, _variation_one_child_at_a_time(pop, cfg, manual))
     assert batched._gen.bit_generator.state == manual._gen.bit_generator.state
+
+
+@pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
+def test_paper_traffic_never_leaves_the_array_plan(monkeypatch, berlin52_dm, operator):
+    # The goldens cannot show a fallback, since _plan draws the same values,
+    # only slower. At 52 cities Lemire's method rejects a cut, point or
+    # partner half-word with a chance below 1e-7, so none of these 900
+    # generations hands its plan to _plan.
+    def fallback(*args):
+        raise AssertionError("the array plan fell back to _plan")
+
+    cfg = GaConfig(population_size=100, max_generations=300, mutation_operator=operator)
+    initial = init_population(cfg, 52, RngStream(5))
+    monkeypatch.setattr(tspga.operators, "_plan", fallback)
+    for seed in range(3):
+        assert evolve(cfg, berlin52_dm, initial, RngStream(seed)).generations_run == 300
 
 
 @pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
@@ -750,10 +726,9 @@ def test_variation_children_do_not_depend_on_the_tour_dtype(operator, n):
     tours = np.stack([gen.permutation(n) for _ in range(size)])
     lengths = gen.integers(1_000_000, 2_000_000, size)
     cfg = GaConfig(population_size=size, crossover_rate=0.9, mutation_operator=operator)
-    dm = np.broadcast_to(np.int64(0), (n, n))
     wide, narrow = RngStream(n), RngStream(n)
-    children = variation(Population(tours, lengths), cfg, dm, wide)
-    narrowed = variation(Population(tours.astype(np.int16), lengths), cfg, dm, narrow)
+    children = variation(Population(tours, lengths), cfg, wide)
+    narrowed = variation(Population(tours.astype(np.int16), lengths), cfg, narrow)
     assert narrowed.tours.dtype == np.int16
     assert np.array_equal(narrowed.tours, children.tours)
     assert wide._gen.bit_generator.state == narrow._gen.bit_generator.state

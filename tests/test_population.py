@@ -139,6 +139,12 @@ def test_evaluate_dimension_mismatch(triangle_dm):
         evaluate(Population(np.array([[0, 1, 2, 3]])), triangle_dm)
 
 
+def test_evaluate_rejects_a_matrix_of_another_size(berlin52_dm):
+    pop = evaluate(init_population(GaConfig(population_size=5), 52, RngStream(68)), berlin52_dm)
+    with pytest.raises(ValueError, match="^population dimension 52 does not match matrix size 3$"):
+        evaluate(pop, np.zeros((3, 3), np.int64))
+
+
 def test_length_cache_coherent(berlin52_dm):
     rng = RngStream(8)
     pop = init_population(GaConfig(population_size=20), 52, rng)

@@ -1,5 +1,7 @@
 """Instance and tour parsing, distances, tour lengths."""
 
+import dataclasses
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -30,7 +32,7 @@ from conftest import TRIANGLE_TSP
 
 def _instance(coords):
     coords = np.asarray(coords, dtype=float)
-    return Instance("test", len(coords), coords)
+    return Instance("test", coords)
 
 
 def test_parse_minimal_triangle(triangle):
@@ -84,15 +86,26 @@ def test_missing_header_or_section_is_named(text, message):
         parse_instance(text)
 
 
-@pytest.mark.parametrize("coords", [np.zeros((3, 3)), np.zeros((2, 2)), np.zeros(6)], ids=["wide", "short", "flat"])
+def test_instance_derives_its_dimension_from_its_coordinates():
+    coords = np.zeros((4, 2))
+    assert Instance("t", coords).dimension == len(coords)
+    assert [f.name for f in dataclasses.fields(Instance)] == ["name", "coords"]
+
+
+@pytest.mark.parametrize("coords", [np.zeros((3, 3)), np.zeros(6)], ids=["wide", "flat"])
 def test_instance_with_wrongly_shaped_coordinates_rejected(coords):
-    with pytest.raises(TsplibParseError, match=r"^coordinate array shape .* does not match dimension 3$"):
-        Instance("test", 3, coords)
+    message = f"coordinate array shape {coords.shape} is not ({len(coords)}, 2)"
+    with pytest.raises(TsplibParseError, match=f"^{re.escape(message)}$"):
+        Instance("test", coords)
 
 
 def test_single_city_rejected():
     text = "DIMENSION: 1\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\nEOF\n"
     with pytest.raises(TsplibParseError, match="at least 2"):
+        parse_instance(text)
+    # An empty section under DIMENSION: 0 fails on the count, not the shape.
+    text = "DIMENSION: 0\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\nEOF\n"
+    with pytest.raises(TsplibParseError, match="^dimension must be at least 2, got 0$"):
         parse_instance(text)
 
 
@@ -116,13 +129,13 @@ def test_instance_with_non_finite_coordinates_rejected(value):
     coords = np.zeros((3, 2))
     coords[1, 0] = coords[2, 1] = value
     with pytest.raises(TsplibParseError, match="^city 2 has a non-finite coordinate$"):
-        Instance("test", 3, coords)
+        Instance("test", coords)
 
 
 def test_instance_owns_its_coordinates():
     base = np.arange(8.0).reshape(4, 2)
     given = base[:3]  # a view: writes through base would reach it
-    inst = Instance("test", 3, given)
+    inst = Instance("test", given)
     given[0, 0] = 9.0  # the caller's array stays writable
     base[1, 1] = 7.0
     assert inst.coords.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
