@@ -1,4 +1,4 @@
-"""TSPLIB-style instance and tour files, distance matrices, tour lengths.
+r"""TSPLIB-style instance and tour files, distance matrices, tour lengths.
 
 File indices are 1-based on disk and 0-based everywhere inside the package;
 the conversion happens here and only here.
@@ -13,6 +13,16 @@ A well-formed NODE_COORD_SECTION or TOUR_SECTION is read in one numpy pass
 and checked as arrays. When that read fails or a check does not pass, the
 line loop reads the section instead and its error names the first bad line,
 so the result or the error is the same either way.
+
+A tour section is read by one np.fromstring call when, less its trailing
+whitespace and one EOF line, it holds ASCII digits between ASCII whitespace
+(space, \t, \n, \r, \v, \f) and ends in a -1 after whitespace, several
+indices to a line or one. When the keyword is a "TOUR_SECTION" line between
+two "\n" and no line above it names the keyword, only the lines above it are
+split; otherwise (CRLF line ends, a keyword line with spaces, a COMMENT that
+names TOUR_SECTION) the whole text is split into lines first. Any other
+section is read by the loop: "+3", "1_0" and "\u0663", which int() takes, a
+separator such as "\x1c" or "\xa0", "- 1", "-1 EOF" or a second EOF line.
 """
 
 from __future__ import annotations
@@ -220,27 +230,33 @@ def _read_coord_section(lines: list[str], dimension: int) -> np.ndarray | None:
     return coords
 
 
-def _read_tour_section(
-    lines: list[str], declared: int | None, dimension: int | None
-) -> np.ndarray | None:
+# What the indices of a section read by np.fromstring may hold: ASCII digits
+# and the ASCII whitespace that str.split, int() and np.fromstring all skip.
+_TOUR_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+
+
+def _read_tour_section(section: str, declared: int | None, dimension: int | None) -> np.ndarray | None:
     """The 0-based tour of a well-formed section, else None.
 
-    lines follow the TOUR_SECTION keyword. One split and one int64
-    conversion, which calls int() on each token as the line loop does,
-    read them. Every check the loop makes must pass before a result is
-    returned.
+    section is the text after the TOUR_SECTION line, or its lines joined by
+    newlines. Less its trailing whitespace and one EOF line, it must end in
+    a -1 after ASCII whitespace, with only ASCII digits and whitespace
+    before it. Such text has no sign, underscore or other digit form, so
+    one np.fromstring call reads the numbers int() reads, with the same
+    values. A number past int64 reads as 2**63 - 1, and no indices at all
+    as [0] or [], and each fails is_permutation. Every check the line loop
+    makes must pass before a result is returned.
     """
-    end = len(lines)
-    while end and lines[end - 1].strip() in ("", "EOF"):
-        end -= 1
-    try:
-        values = np.array(" ".join(lines[:end]).split(), dtype=np.int64)
-    except (ValueError, OverflowError):
+    body = section.rstrip().removesuffix("\nEOF").rstrip()
+    if not body.endswith("-1"):
         return None
-    # Only the last token may be the -1 terminator; an earlier -1 fails is_permutation.
-    if values.size == 0 or values[-1] != -1:
+    indices = body[:-2]
+    if not (indices[-1:].isspace() and indices.isascii()):
         return None
-    tour = values[:-1] - 1
+    raw = indices.encode("ascii")
+    if raw.translate(None, _TOUR_BYTES):
+        return None
+    tour = np.fromstring(raw, np.int64, sep=" ") - 1
     n = declared if declared is not None else tour.size
     if (dimension is not None and n != dimension) or not is_permutation(tour, n):
         return None
@@ -349,7 +365,7 @@ def closed_tour_length(inst: Instance, tour) -> int:
     n = inst.dimension
     if not is_permutation(t, n):
         raise ValueError(f"tour is not a permutation of 0..{n - 1}")
-    xy = inst.coords[t]
+    xy = inst.coords.take(t, axis=0)
     step = np.roll(xy, -1, axis=0) - xy
     return int(_euc_2d(step[:, 0], step[:, 1]).astype(np.int64).sum())
 
@@ -390,7 +406,14 @@ def parse_tour(text: str, dimension: int | None = None) -> np.ndarray:
     in_tour = False
     terminated = False
 
-    lines = text.splitlines()
+    # Only the lines above the first "\nTOUR_SECTION\n" are split, unless one
+    # of them might be the keyword line; the section after it is read whole.
+    # With the "\n" added, head splits into exactly text's lines above it.
+    head, marker, section = text.partition("\nTOUR_SECTION\n")
+    if marker and "TOUR_SECTION" not in head:
+        lines = (head + "\n").splitlines() + ["TOUR_SECTION"]
+    else:
+        lines, section = text.splitlines(), None
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line == "EOF":
@@ -398,9 +421,12 @@ def parse_tour(text: str, dimension: int | None = None) -> np.ndarray:
         if not in_tour:
             if line == "TOUR_SECTION":
                 in_tour = True
-                tour = _read_tour_section(lines[lineno:], declared, dimension)
+                split = section is None
+                tour = _read_tour_section("\n".join(lines[lineno:]) if split else section, declared, dimension)
                 if tour is not None:
                     return tour
+                if not split:
+                    lines += section.splitlines()  # the loop reads on, each line numbered as in text
                 continue
             key, _, value = line.partition(":")
             if _ and key.strip() == "DIMENSION":

@@ -3,9 +3,22 @@
 A change that alters any random draw, its order, or the arithmetic of an
 operator changes these digests. Regenerate them only for a deliberate change
 of behaviour, and say so where the change is recorded.
+
+Run as a script, `python tests/test_golden.py`, this file prints every digest
+table as the checkout it sits in computes it, and edits no file. A new
+case's digest is taken from the commit before the change: copy this file,
+with the new case in it, into a checkout of that commit and run it there.
 """
 
 import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+if __name__ == "__main__":  # the package of this checkout, also when installed elsewhere
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 import pytest
@@ -19,6 +32,7 @@ from tspga import (
     build_distance_matrix,
     evolve,
     init_population,
+    load_instance,
     parse_instance,
     parse_tour,
     render_tour,
@@ -40,20 +54,23 @@ COMPARE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_compare_outputs_are_golden(tmp_path, jobs):
+def _compare_digests(out_dir, jobs):
     cfg = ExperimentConfig(
         ga=GaConfig(population_size=30, max_generations=40),
         operators=("RSM", "PSM", "HPRM"),
         instance_path=str(tspga.data.BERLIN52_TSP),
-        output_dir=str(tmp_path),
+        output_dir=str(out_dir),
         root_seed=2012,
         runs=3,
         jobs=jobs,
     )
     run_comparison(cfg)
-    digests = {name: _sha((tmp_path / name).read_bytes()) for name in COMPARE_DIGESTS}
-    assert digests == COMPARE_DIGESTS
+    return {name: _sha((out_dir / name).read_bytes()) for name in COMPARE_DIGESTS}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_compare_outputs_are_golden(tmp_path, jobs):
+    assert _compare_digests(tmp_path, jobs) == COMPARE_DIGESTS
 
 
 # ---------------------------------------------------------------- solve
@@ -65,14 +82,24 @@ SOLVE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("operator", sorted(SOLVE_DIGESTS))
-def test_solve_stdout_is_golden(capsys, operator):
-    code = main([
+def _stdout(argv):
+    """The standard output of a successful in-process CLI call."""
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def _solve_digest(operator):
+    return _sha(_stdout([
         "solve", str(tspga.data.BERLIN52_TSP), "--operator", operator,
         "--pop", "30", "--generations", "60", "--seed", "1203",
-    ])
-    assert code == 0
-    assert _sha(capsys.readouterr().out.encode()) == SOLVE_DIGESTS[operator]
+    ]).encode())
+
+
+@pytest.mark.parametrize("operator", sorted(SOLVE_DIGESTS))
+def test_solve_stdout_is_golden(operator):
+    assert _solve_digest(operator) == SOLVE_DIGESTS[operator]
 
 
 # ---------------------------------------------------------------- evolve at size
@@ -90,23 +117,30 @@ EVOLVE_DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def large_dm():
+def _large_dm():
     coords = np.random.default_rng(5000).uniform(0.0, 10_000.0, size=(LARGE_N, 2))
     return build_distance_matrix(Instance("synthetic", coords))
 
 
-@pytest.mark.parametrize("operator,pm", sorted(EVOLVE_DIGESTS))
-def test_evolve_trace_and_best_tour_are_golden(large_dm, operator, pm):
+@pytest.fixture(scope="module")
+def large_dm():
+    return _large_dm()
+
+
+def _evolve_digest(dm, operator, pm):
     cfg = GaConfig(
         population_size=LARGE_POP, max_generations=3, crossover_rate=0.5,
         mutation_rate=pm, mutation_operator=operator,
     )
     rng = RngStream(77)
-    result = evolve(cfg, large_dm, init_population(cfg, LARGE_N, rng), rng)
+    result = evolve(cfg, dm, init_population(cfg, LARGE_N, rng), rng)
     trace = repr([(r.generation, r.best_so_far, r.gen_best, r.gen_mean) for r in result.trace])
-    digest = _sha(trace.encode() + result.best_tour.astype("<i8").tobytes())
-    assert digest == EVOLVE_DIGESTS[(operator, pm)]
+    return _sha(trace.encode() + result.best_tour.astype("<i8").tobytes())
+
+
+@pytest.mark.parametrize("operator,pm", sorted(EVOLVE_DIGESTS))
+def test_evolve_trace_and_best_tour_are_golden(large_dm, operator, pm):
+    assert _evolve_digest(large_dm, operator, pm) == EVOLVE_DIGESTS[(operator, pm)]
 
 
 # ---------------------------------------------------------------- distance matrix and validate
@@ -137,29 +171,34 @@ def _instance_text(inst):
     return "\n".join(head + body + ["EOF"]) + "\n"
 
 
+def _dm_digest(inst):
+    return _sha(build_distance_matrix(inst).astype("<i8").tobytes())
+
+
 def test_berlin52_distance_matrix_is_golden(berlin52):
-    digest = _sha(build_distance_matrix(berlin52).astype("<i8").tobytes())
-    assert digest == DM_DIGESTS["berlin52"]
+    assert _dm_digest(berlin52) == DM_DIGESTS["berlin52"]
 
 
 def test_large_distance_matrix_is_golden():
     # At n=5000 the matrix is built in hundreds of row blocks.
-    digest = _sha(build_distance_matrix(_synthetic_instance(5000)).astype("<i8").tobytes())
-    assert digest == DM_DIGESTS[5000]
+    assert _dm_digest(_synthetic_instance(5000)) == DM_DIGESTS[5000]
 
 
-@pytest.mark.parametrize("n", sorted(VALIDATE_DIGESTS))
-def test_validate_stdout_is_golden(tmp_path, capsys, n):
-    inst_path = tmp_path / "synthetic.tsp"
+def _validate_digest(out_dir, n):
+    inst_path = out_dir / "synthetic.tsp"
     inst_path.write_text(_instance_text(_synthetic_instance(n)), encoding="utf-8")
     rng = np.random.default_rng([77, n])
     out = []
     for k in range(VALIDATE_TOURS):
-        tour_path = tmp_path / f"t{k}.tour"
+        tour_path = out_dir / f"t{k}.tour"
         tour_path.write_text(render_tour(rng.permutation(n)), encoding="utf-8")
-        assert main(["validate", str(inst_path), str(tour_path)]) == 0
-        out.append(capsys.readouterr().out)
-    assert _sha("".join(out).encode()) == VALIDATE_DIGESTS[n]
+        out.append(_stdout(["validate", str(inst_path), str(tour_path)]))
+    return _sha("".join(out).encode())
+
+
+@pytest.mark.parametrize("n", sorted(VALIDATE_DIGESTS))
+def test_validate_stdout_is_golden(tmp_path, n):
+    assert _validate_digest(tmp_path, n) == VALIDATE_DIGESTS[n]
 
 
 # ---------------------------------------------------------------- parse outcomes
@@ -284,6 +323,62 @@ TOUR_CASES = [
     _tour_text(_TEN_CITIES[:3], 10**12),
 ]
 
+# Texts at the edge of the one-call tour read, which takes a section that
+# holds only ASCII digits and ASCII whitespace before a final "-1": numbers
+# that int() and np.fromstring read differently, separators one of them does
+# not split at, and header lines that move the section or the line numbers.
+_SECTION = "\n".join(_TEN_CITIES) + "\n"
+TOUR_FAST_PATH_CASES = [
+    _tour_text(_TEN_CITIES[:5] + ["- 1"] + _TEN_CITIES[5:]),
+    _tour_text(_TEN_CITIES[:-1] + [_TEN_CITIES[-1] + " - 1"], tail="EOF\n"),
+    _tour_text(_TEN_CITIES, tail="-1 EOF\n"),
+    _tour_text(_TEN_CITIES, tail="-1\tEOF\n"),
+    _tour_text(["", "", ""], tail=""),
+    _tour_text(["", " ", "\t"], tail="\n\n"),
+    _tour_text(["", " \n\t"], tail="-1\n"),
+    _tour_text(["1 2"], 3, tail="3 -1\n"),
+    _tour_text(["1 2"], 3, tail="3\t-1\nEOF\n"),
+    _tour_text(["3 1 4 10 5", "9 2 6 8 7 -1"], tail="EOF\n"),
+    _tour_text(_TEN_CITIES[:-1] + ["-9223372036854775809"]),
+    _tour_text(_TEN_CITIES[:-1] + ["9223372036854775808"]),
+    _tour_text(_TEN_CITIES[:-1] + ["18446744073709551623"]),
+    _tour_text(_TEN_CITIES[:-1] + ["0007"]),
+    _tour_text(["+1" if c == "1" else c for c in _TEN_CITIES]),
+    _tour_text(_TEN_CITIES, tail="+1\n"),
+    _tour_text(_TEN_CITIES, tail="--1\n"),
+    _tour_text(_TEN_CITIES[:-1], tail=_TEN_CITIES[-1] + "-1\n"),
+    _tour_text(_TEN_CITIES[:5] + ["\x1c".join(_TEN_CITIES[5:])]),
+    _tour_text(_TEN_CITIES[:5] + ["\x85".join(_TEN_CITIES[5:])]),
+    _tour_text(_TEN_CITIES[:5] + ["\xa0".join(_TEN_CITIES[5:])]),
+    _tour_text(_TEN_CITIES[:5] + ["\x0b".join(_TEN_CITIES[5:])]),
+    _tour_text(_TEN_CITIES[:5] + ["\x00".join(_TEN_CITIES[5:])]),
+    _tour_text(_TEN_CITIES, tail="-1\n\x85\xa0\n"),
+    _tour_text(_TEN_CITIES).replace("\n", "\r\n"),
+    _TOUR_HEAD.format(10) + _SECTION.replace("\n", "\r\n") + "-1\r\nEOF\r\n",
+    _TOUR_HEAD.format(10) + _SECTION.replace("\n", "\r") + "-1\rEOF\r",
+    "TOUR_SECTION\n" + _SECTION + "-1\nEOF\n",
+    "\nTOUR_SECTION\n" + _SECTION + "-1\nEOF\n",
+    "TOUR_SECTION\n" + _SECTION + "7#\n-1\n",
+    "\nTOUR_SECTION\n" + _SECTION + "7#\n-1\n",
+    "COMMENT: see TOUR_SECTION\n" + _tour_text(_TEN_CITIES),
+    "COMMENT: see TOUR_SECTION\n" + _tour_text(_TEN_CITIES[:-1] + ["7#"]),
+    "\nDIMENSION: ten\nTOUR_SECTION\n" + _SECTION + "-1\n",
+    "\n\nDIMENSION: 10\x0c\nTOUR_SECTION\n" + _SECTION + "7#\n-1\n",
+    "DIMENSION: 10\r\nTOUR_SECTION\n" + _SECTION + "7#\n-1\n",
+    "DIMENSION: 10\n TOUR_SECTION\n" + _SECTION + "-1\n",
+    "TOUR_SECTION\n\nTOUR_SECTION\n" + _SECTION + "-1\n",
+    "DIMENSION: 10\n TOUR_SECTION\nTOUR_SECTION\n" + _SECTION + "-1\n",
+    "DIMENSION: 10\nTOUR_SECTION \n" + _SECTION + "-1\n",
+    _tour_text(_TEN_CITIES).replace("DIMENSION: 10\n", "DIMENSION: 10\nEOF\n"),
+    _tour_text(_TEN_CITIES, tail="-1\nEOF\nEOF\n"),
+    _tour_text(_TEN_CITIES, tail="-1\n  EOF  \n"),
+    _tour_text(_TEN_CITIES, tail="-1\nEOF\n-1\n"),
+    _tour_text(_TEN_CITIES[:4] + ["EOF"] + _TEN_CITIES[4:]),
+    _tour_text([], 0),
+    _tour_text([], 0, tail="\t-1\n"),
+    _tour_text(_TEN_CITIES, 10**12),
+]
+
 
 def _parse_edit(data: bytes, rng) -> bytes:
     """data with one to three seeded edits: delete, insert, replace or splice."""
@@ -330,11 +425,11 @@ def _instance_calls(texts):
     return [(parse, text) for text in texts]
 
 
-def _tour_calls(texts):
+def _tour_calls(texts, dimension=52):
     # Each text read as its file declares it, and cross-checked as validate reads it.
     return [
         (lambda text, d=d: parse_tour(text, d).astype("<i8").tobytes(), text)
-        for text in texts for d in (None, 52)
+        for text in texts for d in (None, dimension)
     ]
 
 
@@ -350,6 +445,7 @@ PARSE_CORPORA = {
     "tour edits": lambda: _tour_calls(_edited_texts(tspga.data.BERLIN52_OPT_TOUR, 1)),
     "instance cases": lambda: _instance_calls(INSTANCE_CASES),
     "tour cases": lambda: _tour_calls(TOUR_CASES),
+    "tour fast-path cases": lambda: _tour_calls(TOUR_FAST_PATH_CASES, 10),
     "instance 5000": lambda: _instance_calls([_large_instance_text()]),
     "tour 5000": lambda: _tour_calls([render_tour(np.random.default_rng(10).permutation(5000))]),
 }
@@ -359,6 +455,7 @@ PARSE_DIGESTS = {
     "tour edits": "c44a8794027135995becc4fb466d4bdcedbfc52935f2d6eeac0bcc92ee736b38",
     "instance cases": "e517ebd0e07aadbd61b72dd3d7d1a23df087dc93bee3e869dcc4ba34bd712afc",
     "tour cases": "5bd986677e5229bf74c9f7fc613149578e893c13857669f0f37e1847e082b0fb",
+    "tour fast-path cases": "4b4aca61e1fb2856619c9b8272246423861d874887b9701fb2800f58d7472fb6",
     "instance 5000": "8eac0c892abb5487edb68ad48dcbac0c520af146e5ea406cdb64118fd552af47",
     "tour 5000": "73393445da17e65404d51af23058d80f84893e20484925fa5d9447dc9cbfd0e5",
 }
@@ -367,3 +464,28 @@ PARSE_DIGESTS = {
 @pytest.mark.parametrize("corpus", sorted(PARSE_CORPORA))
 def test_parse_outcomes_are_golden(corpus):
     assert _outcome_digest(PARSE_CORPORA[corpus]()) == PARSE_DIGESTS[corpus]
+
+
+def _tables(out_dir):
+    """Every digest table of this file, as this checkout computes it."""
+    large_dm = _large_dm()
+    return {
+        "COMPARE_DIGESTS": _compare_digests(out_dir, jobs=1),
+        "SOLVE_DIGESTS": {op: _solve_digest(op) for op in SOLVE_DIGESTS},
+        "EVOLVE_DIGESTS": {key: _evolve_digest(large_dm, *key) for key in EVOLVE_DIGESTS},
+        "DM_DIGESTS": {
+            "berlin52": _dm_digest(load_instance(tspga.data.BERLIN52_TSP)),
+            5000: _dm_digest(_synthetic_instance(5000)),
+        },
+        "VALIDATE_DIGESTS": {n: _validate_digest(out_dir, n) for n in VALIDATE_DIGESTS},
+        "PARSE_DIGESTS": {name: _outcome_digest(calls()) for name, calls in PARSE_CORPORA.items()},
+    }
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for table, digests in _tables(Path(tmp)).items():
+            print(f"{table} = {{")
+            for key, digest in digests.items():
+                print(f'    {key!r}: "{digest}",')
+            print("}")

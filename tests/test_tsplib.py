@@ -469,6 +469,29 @@ def test_render_parse_round_trip():
         assert np.array_equal(back, t)
 
 
+FAST_N = 5000
+FAST_ORDER = np.random.default_rng(20).permutation(FAST_N)
+_CITIES = [str(c) for c in (FAST_ORDER + 1).tolist()]
+_RAGGED = [" ".join(_CITIES[i:i + 10]) for i in range(0, FAST_N, 10)]
+_BENCH_HEAD = f"NAME: bench0\nTYPE: TOUR\nDIMENSION: {FAST_N}\nTOUR_SECTION\n"
+FAST_TEXTS = {
+    "render_tour": render_tour(FAST_ORDER),
+    "one per line": _BENCH_HEAD + "\n".join(_CITIES + ["-1", "EOF"]) + "\n",
+    "ten per line": _BENCH_HEAD + "\n".join(_RAGGED[:-1] + [_RAGGED[-1] + " -1", "EOF"]) + "\n",
+    "CRLF": render_tour(FAST_ORDER).replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("shape", list(FAST_TEXTS))
+def test_common_tour_files_take_the_one_call_read(monkeypatch, shape):
+    reads = []
+    read = tspga.tsplib._read_tour_section
+    monkeypatch.setattr(tspga.tsplib, "_read_tour_section",
+                        lambda *args: reads.append(read(*args)) or reads[-1])
+    assert np.array_equal(parse_tour(FAST_TEXTS[shape], FAST_N), FAST_ORDER)
+    assert len(reads) == 1 and reads[0] is not None
+
+
 def test_render_rejects_non_permutation():
     with pytest.raises(ValueError):
         render_tour([0, 2, 2])
