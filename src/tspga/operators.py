@@ -170,16 +170,16 @@ def _plan(n: int, op: str, pm: float, crossed, rng, pts=None):
 
 
 def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
-    """_plan's draws, made by array operations on the stream's raw-word block; pairs as (m, 2).
+    """_plan's draws, made by array operations on the stream's held raw words; pairs as (m, 2).
 
     Without swaps the cuts and points are one run of half-words. With swaps a
     walk reads each crossed child's cut from its half-word, handing a
     rejected one to blk.bounded, draws HPRM's points with rng.randint,
-    counts the hits among a child's probability draws in the block's hit
+    counts the hits among a child's probability draws in the buffer's hit
     list and places a half-word per hit; the partners are drawn at the end.
     When Lemire's method rejects a half-word of the run or a partner, the
-    block rewinds to the plan's start and _plan plans the generation one
-    draw at a time, as it does for a stream without a block (a scripted
+    stream rewinds to the plan's start and _plan plans the generation one
+    draw at a time, as it does for a stream without raw words (a scripted
     one) and for tours the half-words cannot serve: at n <= 2 a cut's span
     of 0 takes none, and from n = 92,682 a point's span passes 2**32 - 1 and
     takes full words. At 5000 cities _plan replans about 3 RSM generations in
@@ -189,7 +189,10 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
     cspan, pspan = n * (n - 1) // 2 - 1, n * (n + 1) // 2 - 1
     if blk is None or not 0 < cspan < pspan < 2**32 - 1:
         return _plan(n, op, pm, crossed, rng)
-    start = blk.mark()
+    # Read ahead, per child: a word for cut and points, the swap draws of a
+    # segment a fifth wider than the mean (n/3) and a word per expected hit.
+    swap_draws = _swap_draws(op, n, pm, 2 * n // 5)
+    start = blk.hold(crossed.size * (1 + swap_draws) + ceil(crossed.size * swap_draws * pm))
     k = _swap_draws(op, n, pm, n - 1)
     if k == 0:
         point_slot = np.cumsum(crossed + 1) - 1
@@ -198,13 +201,14 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
         spans = np.where(strict, cspan, pspan).astype(np.uint64)
         ranks, bad = blk.bounded_at(blk.halves(spans.size), spans)
         if bad == spans.size:
+            blk.release()
             pairs = np.array(_unrank_pairs(n, ranks.astype(np.int64), strict), dtype=np.intp).T
             return pairs[strict], pairs[point_slot], [], [], []
     else:
         hits = blk.below(pm)
         randint = rng.randint
-        # The block's state, held here and written back around every call that
-        # draws from it; raw and its size change only when the block grows.
+        # The buffer's state, held here and written back around every call that
+        # draws from it; raw and its size change only when the buffer grows.
         raw, pos, has_half, half_at = blk.raw, blk.pos, blk.has_half, blk.half_at
         size, hprm = raw.size, op == "HPRM"
         cut_excl = cspan + 1
@@ -223,7 +227,7 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
                 m = half * cut_excl
                 if m & _U32 >= cut_threshold:
                     cut_ranks.append(m >> 32)
-                else:  # rejected: the block redraws from where this draw began
+                else:  # rejected: the buffer redraws from where this draw began
                     blk.pos, blk.has_half, blk.half_at = pos - has_half, not has_half, half_at
                     blk.q -= 1  # the half-word counted below, which the redraw counts again
                     cut_ranks.append(blk.bounded(cspan))
@@ -277,10 +281,11 @@ def _plan_block(n: int, op: str, pm: float, crossed: np.ndarray, rng):
             pairs = np.array(_unrank_pairs(n, ranks, strict), dtype=np.intp).T
             cuts, points = pairs[:len(cut_ranks)], pairs[len(cut_ranks):]
             swap_i, swap_j = blk.hit_words[hit + swap] - d, partners.astype(np.int64)
+            blk.release()
             if op == "HPRM":
                 swap_i, swap_j = _hprm_swaps(*points[rows].T, swap_i, swap_j)
             return cuts, points, rows, swap_i, swap_j
-    blk.rewind(start)
+    blk.release(start)
     return _plan(n, op, pm, crossed.tolist(), rng)
 
 
@@ -442,24 +447,17 @@ def variation(pop: Population, cfg: GaConfig, rng: RngStream) -> Population:
     partners. Batches advance the stream exactly as the equivalent scalar
     sequence would, so replays are insensitive to the batching.
 
-    The draws are made first, served from one raw-word block of the stream
-    (RngStream.block), which yields the values numpy's own calls would;
-    exactness rests on numpy's word consumption, which tests/test_rng.py
-    pins. The plan is read from the block by array operations (_plan_block).
-    The operators are then applied to all children at once.
+    The draws are made first, and the plan is read from the stream's raw
+    words by array operations (_plan_block). The operators are then applied
+    to all children at once.
     """
     if not pop.evaluated:
         raise ValueError("variation needs an evaluated population")
     size, n = pop.size, pop.dimension
     op, pm = cfg.mutation_operator, cfg.mutation_rate
-    # Per child: parents, gate, a word for cut and points, the swap draws of a
-    # segment a fifth wider than the mean (n/3) and a word per expected hit.
-    # The block grows when a generation's segments are wider still.
-    swap_draws = _swap_draws(op, n, pm, 2 * n // 5)
-    with rng.block(size * (4 + swap_draws) + ceil(size * swap_draws * pm)):
-        parents = wheel_index(_wheel(pop.lengths), rng.random_array(2 * size))
-        crossed = rng.random_array(size) < cfg.crossover_rate
-        cuts, *mutation = _plan_block(n, op, pm, crossed, rng)
+    parents = wheel_index(_wheel(pop.lengths), rng.random_array(2 * size))
+    crossed = rng.random_array(size) < cfg.crossover_rate
+    cuts, *mutation = _plan_block(n, op, pm, crossed, rng)
 
     children = pop.tours[parents[0::2]]
     crossed_rows = np.flatnonzero(crossed)

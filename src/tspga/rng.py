@@ -1,8 +1,10 @@
-"""Seedable random streams with an explicit, replayable draw contract."""
+"""Seedable random streams with an explicit, replayable draw contract.
+
+Draws are read from PCG64's raw words, which NumPy's RNG policy (NEP 19) keeps stable.
+"""
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from math import ceil
 
 import numpy as np
@@ -14,82 +16,48 @@ _DOUBLE_SCALE = 2.0**-53
 
 
 class RngStream:
-    """Deterministic source of uniform reals and integers.
+    """Deterministic source of uniform reals, integers and permutations.
 
-    Thin facade over a PCG64 generator. Every randomized routine in this
-    package draws exclusively through this interface, so a run is fully
-    determined by the seeds of the streams handed to it. ``random_array(k)``
-    advances the stream exactly as ``k`` successive ``random()`` calls would,
-    which lets hot loops batch their draws without changing replay behavior.
-
-    Inside ``with stream.block(words):`` the same methods are served from one
-    block of raw 64-bit words by replaying numpy's consumption rules, and the
-    generator is left exactly where the direct draws would have left it.
+    Every randomized routine in this package draws exclusively through this
+    interface, so a run is fully determined by the seeds of the streams
+    handed to it. ``random_array(k)`` advances the stream exactly as ``k``
+    successive ``random()`` calls would, which lets hot loops batch their
+    draws without changing replay behavior. Each draw equals what
+    ``np.random.Generator(np.random.PCG64(seed))`` returns for the same calls:
+    permutation is that Generator's own, and the rest are served from a
+    buffer of the bit generator's raw words (_RawBlock).
     """
 
     def __init__(self, seed):
         self.seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._block: _RawBlock | None = None
+        self._block = _RawBlock(self._gen.bit_generator)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed!r})"
 
     def random(self) -> float:
         """One uniform draw from [0, 1)."""
-        if self._block is not None:
-            return self._block.double()
-        return float(self._gen.random())
+        return self._block.double()
 
     def random_array(self, k: int) -> np.ndarray:
         """``k`` uniform draws from [0, 1)."""
-        if self._block is not None:
-            return self._block.doubles(k)
-        return self._gen.random(k)
+        if k < 0:
+            raise ValueError("negative dimensions are not allowed")
+        return self._block.doubles(k)
 
     def randint(self, lo: int, hi: int) -> int:
         """One uniform integer from [lo, hi], both endpoints included."""
-        blk = self._block
-        if blk is not None and _INT64_MIN <= lo <= hi <= _INT64_MAX:
-            return lo + blk.bounded(hi - lo)
-        if hi < lo:
-            raise ValueError(f"empty integer range [{lo}, {hi}]")
-        if blk is not None:
-            raise ValueError(f"integer range [{lo}, {hi}] is out of bounds for int64")
-        return int(self._gen.integers(lo, hi + 1))
+        if not _INT64_MIN <= lo <= hi <= _INT64_MAX:
+            raise ValueError(f"integer range [{lo}, {hi}] is empty or outside int64")
+        return lo + self._block.bounded(hi - lo)
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniformly random permutation of 0..n-1 (Fisher-Yates semantics)."""
-        if self._block is not None:
-            raise RuntimeError("permutation is not served inside a draw block")
-        return self._gen.permutation(n)
-
-    @contextmanager
-    def block(self, words: int):
-        """Serve the draws of the ``with`` body from one raw-word block.
-
-        words is the expected number of 64-bit words the body consumes; the
-        block grows when the body needs more. Draws equal, value for value,
-        what the same calls would return outside the block. On exit, also on
-        an exception, the generator is left where those direct calls would
-        have left it: the saved state advanced by the words consumed, with
-        the replayed 32-bit half-word buffer. A nested block is the outer one.
-        """
-        if self._block is not None:
-            yield self
-            return
-        bitgen = self._gen.bit_generator
-        saved = bitgen.state
-        self._block = _RawBlock(bitgen, words, saved["has_uint32"], saved["uinteger"])
-        try:
-            yield self
-        finally:
-            blk, self._block = self._block, None
-            bitgen.state = saved
-            bitgen.advance(blk.pos)
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = int(blk.has_half), blk.half
-            bitgen.state = state
+        self._block.hand_back()
+        out = self._gen.permutation(n)
+        self._block.restart()
+        return out
 
 
 def derive_stream(root_seed: int, *key: int) -> RngStream:
@@ -113,8 +81,11 @@ def derive_stream(root_seed: int, *key: int) -> RngStream:
     return RngStream(seq)
 
 
+_READ_WORDS = 8192  # the fewest a refill reads: random_raw's cost per call is spread over them
+
+
 class _RawBlock:
-    """Replays numpy 2.x ``Generator`` draws from ``random_raw`` words.
+    """A stream's raw words, drawn as numpy 2.x ``Generator`` draws from them.
 
     A double is ``(word >> 11) * 2**-53``. An integer draw over a span
     (high minus low) that fits 32 bits takes a half-word from the bit
@@ -123,51 +94,79 @@ class _RawBlock:
     Wider spans take full words the same way; a span of 0 consumes nothing.
     See Lemire, "Fast Random Integer Generation in an Interval" (2019).
 
-    Doubles leave the half-word buffer alone, so a caller may place half-words
-    among them (halves) and draw from them later at once (bounded_at). A
-    half-word is named by where it sits in the block read as 32-bit values:
-    word w's low half at 2w, its high half at 2w + 1, and -1 for the half
-    buffered before the block. half_at names the high half last split off a
-    word, which is buffered while has_half holds.
+    raw holds words read ahead of the draws; pos is the next one. Doubles
+    leave the half-word buffer alone, so a caller may place half-words among
+    them (halves) and draw from them later at once (bounded_at). A half-word
+    is named by where it sits in raw read as 32-bit values: word w's low half
+    at 2w, its high half at 2w + 1, and -1 for the half buffered before raw.
+    half_at names the high half last split off a word, which is buffered
+    while has_half holds. Positions stay valid from hold to release.
     """
 
-    def __init__(self, bitgen, words: int, has_half, half):
+    def __init__(self, bitgen):
         self._bitgen = bitgen
-        self.raw = bitgen.random_raw(max(int(words), 1))
-        self.pos = self.q = 0  # words and half-words drawn
-        self.has_half, self.half_at = bool(has_half), -1
-        self._has0, self._half0 = self.has_half, int(half)
-        self._hit_limit = -1
-        self.hit_words = np.zeros(0, dtype=np.intp)
-        self.hits: list[int] = []
+        self.q = 0  # half-words drawn
+        self.held = False
+        self.restart()
+
+    def restart(self) -> None:
+        """Empty the buffer, for a bit generator that stands where the draws do."""
+        state = self._bitgen.state
+        self.raw, self.hit_words, self.hits = np.zeros(0, dtype=np.uint64), None, None
+        self.pos, self._hit_limit = 0, -1
+        self.has_half, self.half_at = bool(state["has_uint32"]), -1
+        self._has0, self._half0 = self.has_half, state["uinteger"]
+
+    def hand_back(self) -> None:
+        """Move the bit generator back to where the draws stand, unless it is there, and restart."""
+        if self.raw.size or self.has_half != self._has0:
+            self._bitgen.advance(self.pos - self.raw.size)  # which empties numpy's half-word buffer
+            if self.has_half:
+                state = self._bitgen.state
+                state["has_uint32"], state["uinteger"] = 1, self.half
+                self._bitgen.state = state
+            self.restart()
 
     @property
     def half(self) -> int:
         """The half at half_at: what numpy's buffer holds, buffered or spent."""
         return self.raw.item(self.half_at >> 1) >> 32 if self.half_at >= 0 else self._half0
 
-    def mark(self) -> tuple:
-        """Where the draws stand, for rewind."""
+    def hold(self, words: int) -> tuple:
+        """Buffer words undrawn words, then keep every word until release; a mark for it."""
+        if self.pos + words > self.raw.size:
+            self.grow(self.pos + words)
+        self.held = True
         return self.pos, self.q, self.has_half, self.half_at
 
-    def rewind(self, mark: tuple) -> None:
-        """Return to a mark, forgetting the draws made since."""
-        self.pos, self.q, self.has_half, self.half_at = mark
+    def release(self, mark: tuple | None = None) -> None:
+        """End a hold: back at mark if given, forgetting the draws since; then free a big buffer."""
+        self.held = False
+        if mark:
+            self.pos, self.q, self.has_half, self.half_at = mark
+        if self.raw.size > _READ_WORDS:  # more than a refill
+            self.hand_back()
 
     def grow(self, end: int) -> None:
-        """Draw more words, at least doubling the block, so that it holds end words."""
+        """Read words until end words are buffered: while held, at least doubling; else after a hand_back."""
+        if not self.held:
+            end -= self.pos
+            self.hand_back()
+            self.raw = self._bitgen.random_raw(max(end, _READ_WORDS))
+            return
         size = self.raw.size
         extra = self._bitgen.random_raw(max(end - size, size))
-        new = np.flatnonzero(extra <= self._hit_limit) + size
-        self.hit_words = np.concatenate((self.hit_words, new))
-        self.hits += new.tolist()
+        if self._hit_limit >= 0:
+            new = np.flatnonzero(extra <= self._hit_limit) + size
+            self.hit_words = np.concatenate((self.hit_words, new))
+            self.hits += new.tolist()
         self.raw = np.concatenate((self.raw, extra))
 
     def reserve(self, k: int) -> int:
-        """Consume the next k words, growing the block when short; the first's position."""
+        """Consume the next k words, growing the buffer when short; the first's position."""
+        if self.pos + k > self.raw.size:
+            self.grow(self.pos + k)
         p = self.pos
-        if p + k > self.raw.size:
-            self.grow(p + k)
         self.pos = p + k
         return p
 
@@ -180,10 +179,10 @@ class _RawBlock:
         return (self.raw[p:p + k] >> 11) * _DOUBLE_SCALE
 
     def below(self, p: float) -> list[int]:
-        """Positions of the words whose double is below p, kept as hits and hit_words."""
+        """Positions of the undrawn words whose double is below p, kept as hits and hit_words."""
         # (word >> 11) * 2**-53 < p exactly when word < ceil(p * 2**53) << 11.
         self._hit_limit = (ceil(p * 2.0**53) << 11) - 1
-        self.hit_words = np.flatnonzero(self.raw <= self._hit_limit)
+        self.hit_words = np.flatnonzero(self.raw[self.pos:] <= self._hit_limit) + self.pos
         self.hits = self.hit_words.tolist()
         return self.hits
 
@@ -219,6 +218,7 @@ class _RawBlock:
                     p = self.pos
                     if p == self.raw.size:
                         self.grow(p + 1)
+                        p = self.pos
                     self.pos, self.has_half, self.half_at = p + 1, True, 2 * p + 1
                     m = (self.raw.item(p) & _U32) * excl
                 # Accepted when the low half reaches Lemire's threshold,

@@ -1,7 +1,6 @@
 """Shared fixtures, the RNG test doubles and plan checks, and the CLI subprocess environment."""
 
 import os
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 import tspga.data
 import tspga.tsplib
 from tspga import RngStream, build_distance_matrix, load_instance
+from tspga.rng import _RawBlock
 
 
 class ScriptedRng:
@@ -36,17 +36,39 @@ class ScriptedRng:
         assert lo <= value <= hi, f"scripted draw {value} outside [{lo}, {hi}]"
         return value
 
-    def block(self, words):
-        # Scripted values need no raw-word block; draws stay in queue order.
-        return nullcontext(self)
-
     def exhausted(self):
         return not self.reals and not self.ints
 
 
-def block_end(rng):
-    blk = rng._block
-    return blk.pos, blk.q, blk.has_half, blk.half
+def assert_same_draw(rng, gen, call):
+    """An RngStream call, as (method name, *args), draws what numpy's Generator does.
+
+    random and random_array are Generator.random, randint(lo, hi) is
+    Generator.integers(lo, hi + 1) and permutation is itself.
+    """
+    name, *args = call
+    if name == "randint":
+        want = gen.integers(args[0], args[1] + 1)
+    else:
+        want = getattr(gen, "random" if name == "random_array" else name)(*args)
+    got = getattr(rng, name)(*args)
+    assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype, call
+
+
+def stream_end(rng):
+    """Where a stream stands: the half-words it has drawn and its next draws.
+
+    The first draw takes the buffered half-word, if any, and the double after
+    it the next word. Drawing them moves the stream on.
+    """
+    return rng._block.q, [rng.randint(0, 2**32 - 1), rng.random(), rng.randint(0, 2**32 - 1)]
+
+
+def buffer_half(bitgen, half):
+    """Make half numpy's buffered half-word in a bit generator."""
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = 1, half
+    bitgen.state = state
 
 
 def assert_same_plan(array_plan, scalar_plan):
@@ -57,12 +79,40 @@ def assert_same_plan(array_plan, scalar_plan):
 
 
 class LoggedStream(RngStream):
-    """A stream that logs each integer draw's range and where its first half-word sits."""
+    """A stream that logs each integer draw's range and where its first half-word sits.
+
+    The places are positions in the word buffer, which keeps them only while held.
+    """
 
     def randint(self, lo, hi):
         blk = self._block
         self.log.append((hi, blk.half_at if blk.has_half else 2 * blk.pos))
         return super().randint(lo, hi)
+
+
+class WordBits:
+    """Bit generator stand-in for _RawBlock: fixed raw words in order, and numpy's half-word buffer."""
+
+    def __init__(self, words, has_half, half):
+        self.words, self.used = words, 0
+        self.state = {"has_uint32": int(has_half), "uinteger": half}
+
+    def random_raw(self, k):
+        self.used += k
+        assert self.used <= self.words.size, "the stand-in's words ran out"
+        return self.words[self.used - k:self.used].copy()
+
+    def advance(self, delta):
+        """Move by delta words and empty the half-word buffer, as PCG64.advance does."""
+        self.used += delta
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+
+def on_words(words, has_half, half, stream=RngStream):
+    """A stream whose bit generator serves the given raw words."""
+    rng = stream(0)
+    rng._block = _RawBlock(WordBits(words, has_half, half))
+    return rng
 
 
 def plant_rejections(words, half, ats):

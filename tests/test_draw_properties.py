@@ -1,11 +1,10 @@
 """Properties of the draw contract, searched by hypothesis.
 
 The array plan must replay the scalar plan's draws exactly: the same plan,
-the same raw-word block afterwards and the same generator state once the
-block is left. Every draw a block serves equals the direct call, and
-leaving a block, also by an exception, puts the generator where the direct
-calls would have. The profile is derandomized and bounded, so the suite
-stays deterministic and quick.
+and the stream left where the scalar plan leaves it. Every draw a stream
+makes equals numpy's Generator's on the same seed, also with a half-word
+buffered and with permutations among the draws. The profile is
+derandomized and bounded, so the suite stays deterministic and quick.
 """
 
 import numpy as np
@@ -16,7 +15,11 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from tspga import RngStream  # noqa: E402
 from tspga.operators import _plan, _plan_block  # noqa: E402
-from conftest import LoggedStream, assert_same_plan, block_end, plant_rejections  # noqa: E402
+from tspga.rng import _READ_WORDS  # noqa: E402
+from conftest import (  # noqa: E402
+    LoggedStream, assert_same_draw, assert_same_plan, buffer_half, on_words, plant_rejections,
+    stream_end,
+)
 
 PROFILE = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 
@@ -31,34 +34,25 @@ SPANS = st.one_of(
 
 @st.composite
 def draw_calls(draw):
-    """One RngStream call that a block serves, as (method name, *args)."""
-    kind = draw(st.sampled_from(["random", "random_array", "randint"]))
+    """One RngStream call, as (method name, *args)."""
+    kind = draw(st.sampled_from(["random", "random_array", "randint", "permutation"]))
     if kind == "random":
         return ("random",)
-    if kind == "random_array":
-        return ("random_array", draw(st.integers(0, 8)))
+    if kind == "random_array":  # now and then more words than one refill reads
+        return ("random_array", draw(st.one_of(st.integers(0, 8), st.integers(1000, 20_000))))
+    if kind == "permutation":
+        return ("permutation", draw(st.sampled_from([0, 1, 2, 5, 52, 1000])))
     span = draw(SPANS)
     lo = draw(st.integers(-(2**63), 2**63 - 1 - span))
     return ("randint", lo, lo + span)
 
 
-def _call(rng, call):
-    name, *args = call
-    return getattr(rng, name)(*args)
-
-
-class _Leave(Exception):
-    pass
-
-
 def _entering_with(seed, half, stream=RngStream):
-    """A stream whose generator buffers the given half-word, or none."""
+    """A stream whose bit generator buffers the given half-word, or none."""
     rng = stream(seed)
     if half is not None:
-        bitgen = rng._gen.bit_generator
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = 1, half
-        bitgen.state = state
+        buffer_half(rng._gen.bit_generator, half)
+        rng._block.restart()
     return rng
 
 
@@ -86,17 +80,15 @@ PLAN_SIZES = st.one_of(
 @example(size=(92_682, 1e-4, 3), operator="PSM", crossover_rate=1.0, seed=1, half=0)
 def test_array_plan_equals_scalar_plan(size, operator, crossover_rate, seed, half):
     # A buffered half of 0 makes the first bounded draw reject whenever its
-    # range does not divide 2**32. A 1-word block grows on the first draws.
+    # range does not divide 2**32.
     n, pm, children = size
     array_rng, scalar_rng = _entering_with(seed, half), _entering_with(seed, half)
-    with array_rng.block(1), scalar_rng.block(1):
-        crossed = array_rng.random_array(children) < crossover_rate
-        assert np.array_equal(crossed, scalar_rng.random_array(children) < crossover_rate)
-        array_plan = _plan_block(n, operator, pm, crossed, array_rng)
-        scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
-        assert_same_plan(array_plan, scalar_plan)
-        assert block_end(array_rng) == block_end(scalar_rng)
-    assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+    crossed = array_rng.random_array(children) < crossover_rate
+    assert np.array_equal(crossed, scalar_rng.random_array(children) < crossover_rate)
+    array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+    scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
+    assert_same_plan(array_plan, scalar_plan)
+    assert stream_end(array_rng) == stream_end(scalar_rng)
 
 
 @PROFILE
@@ -114,28 +106,26 @@ def test_array_plan_equals_scalar_plan_through_planted_rejections(
     n, operator, pm, crossover_rate, children, seed, half, picks
 ):
     # The scalar plan on the stream's own words logs where each integer draw
-    # takes its first half-word; a 0 planted at the picked ones makes Lemire's
-    # method reject them, unless the draw's range divides 2**32.
+    # takes its first half-word, a place among the words read while held; a
+    # 0 planted at the picked ones makes Lemire's method reject them, unless
+    # the draw's range divides 2**32.
     probe = _entering_with(seed, half, LoggedStream)
     probe.log = []
-    with probe.block(1):
-        crossed = probe.random_array(children) < crossover_rate
-        _plan(n, operator, pm, crossed.tolist(), probe)
+    probe._block.hold(1)
+    crossed = probe.random_array(children) < crossover_rate
+    _plan(n, operator, pm, crossed.tolist(), probe)
     firsts = [at for _, at in probe.log]
     ats = {firsts[p % len(firsts)] for p in picks} if firsts else set()
-    entering = 0 if -1 in ats else half
-    words = max(ats, default=0) // 2 + 1  # the block holds every planted half-word
-    array_rng, scalar_rng = _entering_with(seed, entering), _entering_with(seed, entering)
-    with array_rng.block(words), scalar_rng.block(words):
-        for rng in (array_rng, scalar_rng):
-            rng._block.raw = plant_rejections(rng._block.raw, entering, ats)[0]
-        crossed = array_rng.random_array(children) < crossover_rate
-        assert np.array_equal(crossed, scalar_rng.random_array(children) < crossover_rate)
-        array_plan = _plan_block(n, operator, pm, crossed, array_rng)
-        scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
-        assert_same_plan(array_plan, scalar_plan)
-        assert block_end(array_rng) == block_end(scalar_rng)
-    assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+    # More of the stream's words than the plans and the draws after them take.
+    words = np.random.PCG64(seed).random_raw(2 * probe._block.raw.size + 4 * _READ_WORDS)
+    words, entering = plant_rejections(words, half, ats)
+    array_rng, scalar_rng = (on_words(words, half is not None, entering) for _ in range(2))
+    crossed = array_rng.random_array(children) < crossover_rate
+    assert np.array_equal(crossed, scalar_rng.random_array(children) < crossover_rate)
+    array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+    scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
+    assert_same_plan(array_plan, scalar_plan)
+    assert stream_end(array_rng) == stream_end(scalar_rng)
 
 
 @PROFILE
@@ -145,32 +135,9 @@ def test_array_plan_equals_scalar_plan_through_planted_rejections(
     half=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
 )
 def test_block_draws_equal_direct_draws(calls, seed, half):
-    # The 1-word block must grow as soon as the calls need a second word.
-    blocked, direct = _entering_with(seed, half), _entering_with(seed, half)
-    with blocked.block(1):
-        for call in calls:
-            served, wanted = _call(blocked, call), _call(direct, call)
-            assert type(served) is type(wanted), call
-            assert np.array_equal(served, wanted), call
-
-
-@PROFILE
-@given(
-    calls=st.lists(draw_calls(), max_size=40),
-    by_exception=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-    half=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
-)
-def test_leaving_a_block_leaves_the_direct_state(calls, by_exception, seed, half):
-    blocked, direct = _entering_with(seed, half), _entering_with(seed, half)
-    try:
-        with blocked.block(1):
-            for call in calls:
-                _call(blocked, call)
-            if by_exception:
-                raise _Leave
-    except _Leave:
-        pass
+    rng = _entering_with(seed, half)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    if half is not None:
+        buffer_half(gen.bit_generator, half)
     for call in calls:
-        _call(direct, call)
-    assert blocked._gen.bit_generator.state == direct._gen.bit_generator.state
+        assert_same_draw(rng, gen, call)

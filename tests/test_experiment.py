@@ -13,6 +13,7 @@ import tspga.population
 from tspga import (
     ExperimentConfig,
     GaConfig,
+    RngStream,
     RunResult,
     TraceRecord,
     emit_convergence_csv,
@@ -208,6 +209,47 @@ def test_every_cell_replays_from_the_root_seed_and_its_run(tmp_path, jobs):
             assert (given.best_length, given.trace, given.generations_run) == \
                    (cell.best_length, cell.trace, cell.generations_run)
             assert np.array_equal(given.best_tour, cell.best_tour)
+
+
+@pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
+def test_a_shorter_cell_is_the_head_of_a_longer_one(tmp_path, berlin52_dm, operator):
+    # One long run answers every shorter budget: the stream reads its words
+    # ahead across generations, and no draw depends on where a run stops.
+    for run in range(2):
+        short, long = (
+            run_cell(_config(tmp_path, ga=GaConfig(population_size=20, max_generations=g,
+                                                   mutation_rate=0.05)), operator, run, berlin52_dm)
+            for g in (40, 80)
+        )
+        assert short.trace == long.trace[:40]
+        assert (short.best_length == long.best_length) == np.array_equal(short.best_tour, long.best_tour)
+
+
+class _RawWordsOnly(np.random.Generator):
+    """A Generator whose random and integers raise."""
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("Generator.random called")
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("Generator.integers called")
+
+
+def test_draws_call_no_generator_method_but_permutation(tmp_path, monkeypatch, berlin52_dm):
+    # Every draw but permutation comes from the stream's raw words, so the
+    # package has one implementation of each; a call to Generator.random or
+    # Generator.integers would be a second one.
+    cfg = _config(tmp_path, ga=GaConfig(population_size=20, max_generations=10, mutation_rate=0.05))
+
+    def outputs():
+        initial = init_population(cfg.ga, 52, RngStream(7)).tours.tolist()
+        cells = [run_cell(cfg, operator, 1, berlin52_dm) for operator in ("RSM", "PSM", "HPRM")]
+        return initial, [(cell.best_length, cell.trace, cell.best_tour.tolist()) for cell in cells]
+
+    expected = outputs()
+    monkeypatch.setattr(np.random, "Generator", _RawWordsOnly)
+    assert isinstance(RngStream(0)._gen, _RawWordsOnly)
+    assert outputs() == expected
 
 
 def test_run_cell_rejects_a_cell_outside_the_comparison(tmp_path, berlin52_dm):

@@ -28,9 +28,9 @@ from tspga import (
     variation,
     wheel_index,
 )
-from tspga.operators import _plan, _plan_block, _swap_draws, _unrank_pairs
-from tspga.rng import _RawBlock
-from conftest import LoggedStream, ScriptedRng, assert_same_plan, block_end, plant_rejections
+from tspga.operators import _plan, _plan_block, _unrank_pairs
+from tspga.rng import _READ_WORDS, _RawBlock
+from conftest import LoggedStream, ScriptedRng, assert_same_plan, on_words, plant_rejections, stream_end
 
 
 # ---------------------------------------------------------------- RSM
@@ -440,7 +440,7 @@ def test_variation_equals_single_tour_operators(berlin52_dm, operator, pm, seed)
     batched, manual = RngStream(seed), RngStream(seed)
     children = variation(pop, cfg, batched)
     assert np.array_equal(children.tours, _variation_one_child_at_a_time(pop, cfg, manual))
-    assert batched._gen.bit_generator.state == manual._gen.bit_generator.state
+    assert stream_end(batched) == stream_end(manual)
 
 
 def test_variation_rsm_applied_to_every_child(berlin52_dm):
@@ -498,44 +498,46 @@ def test_unranking_equals_isqrt_at_the_ends_of_large_ranges(n, strict):
 @pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
 @pytest.mark.parametrize("pm", [0.0, 0.05, 0.3, 1.0])
 @pytest.mark.parametrize("crossover_rate", [0.0, 0.7, 1.0])
-def test_array_plan_equals_scalar_plan(operator, pm, crossover_rate):
-    # At n=2 a cut's span is 0, so it takes no half-word. A 1-word block
-    # grows on the first draws after the gates.
+def test_array_plan_equals_scalar_plan(monkeypatch, operator, pm, crossover_rate):
+    # At n=2 a cut's span is 0, so it takes no half-word.
     for n, buffered in itertools.product([2, 3, 52, 200, 2000], [False, True]):
         size = 6 if n == 2000 else 20
         seed = n + 7 * buffered
         array_rng, scalar_rng = RngStream(seed), RngStream(seed)
         if buffered:  # leaves the high half-word buffered
             assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
-        with array_rng.block(1), scalar_rng.block(1):
-            crossed = array_rng.random_array(size) < crossover_rate
-            assert np.array_equal(crossed, scalar_rng.random_array(size) < crossover_rate)
-            array_plan = _plan_block(n, operator, pm, crossed, array_rng)
-            scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
-            assert_same_plan(array_plan, scalar_plan)
-            assert block_end(array_rng) == block_end(scalar_rng), (n, buffered)
-        assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+        crossed = array_rng.random_array(size) < crossover_rate
+        assert np.array_equal(crossed, scalar_rng.random_array(size) < crossover_rate)
+        array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+        scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
+        assert_same_plan(array_plan, scalar_plan)
+        assert stream_end(array_rng) == stream_end(scalar_rng), (n, buffered)
     if pm == 0.05 and crossover_rate == 0.7:
-        # Whole generations on one stream (parents, gates, plan), blocks sized
-        # as variation sizes them. At pop 10 HPRM's walk grows the block in
-        # about one generation in seven; PSM's and RSM's draws fit it.
-        for n in [52, 200]:
+        # Whole generations on one stream (parents, gates, plan). The plan
+        # reads ahead to its estimate of a generation's words, and a refill
+        # reads _READ_WORDS at least, which hold a generation at 52 cities. At
+        # 2000, HPRM's walk outgrows the estimate in about one generation in
+        # nine; PSM's and RSM's draws fit it. A plan leaves at most one
+        # refill's words buffered.
+        grow, held_grows = _RawBlock.grow, []
+        monkeypatch.setattr(_RawBlock, "grow",
+                            lambda blk, end: held_grows.append(blk.held) or grow(blk, end))
+        for n in [52, 2000]:
             array_rng, scalar_rng = RngStream(n), RngStream(n)
-            swap_draws = _swap_draws(operator, n, pm, 2 * n // 5)
-            words = 10 * (4 + swap_draws) + math.ceil(10 * swap_draws * pm)
             grown = 0
             for generation in range(200):
-                with array_rng.block(words), scalar_rng.block(words):
-                    assert np.array_equal(array_rng.random_array(20), scalar_rng.random_array(20))
-                    crossed = array_rng.random_array(10) < crossover_rate
-                    assert np.array_equal(crossed, scalar_rng.random_array(10) < crossover_rate)
-                    array_plan = _plan_block(n, operator, pm, crossed, array_rng)
-                    scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
-                    assert_same_plan(array_plan, scalar_plan)
-                    assert block_end(array_rng) == block_end(scalar_rng), (n, generation)
-                    grown += array_rng._block.raw.size > words
-                assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
-            assert (0 < grown < 200) == (operator == "HPRM")
+                assert np.array_equal(array_rng.random_array(20), scalar_rng.random_array(20))
+                crossed = array_rng.random_array(10) < crossover_rate
+                assert np.array_equal(crossed, scalar_rng.random_array(10) < crossover_rate)
+                del held_grows[:]
+                array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+                assert array_rng._block.raw.size <= _READ_WORDS
+                scalar_plan = _plan(n, operator, pm, crossed.tolist(), scalar_rng)
+                assert_same_plan(array_plan, scalar_plan)
+                grown += any(held_grows)  # only the array plan holds the buffer
+                assert array_rng.random() == scalar_rng.random(), (n, generation)
+            assert stream_end(array_rng) == stream_end(scalar_rng)
+            assert (0 < grown < 200) == (operator == "HPRM" and n == 2000)
 
 
 def test_walk_reads_cuts_inline_and_draws_each_point_with_one_randint(monkeypatch):
@@ -551,14 +553,12 @@ def test_walk_reads_cuts_inline_and_draws_each_point_with_one_randint(monkeypatc
     point = n * (n + 1) // 2 - 1
     for operator, seed in itertools.product(["PSM", "HPRM"], range(5)):
         rng = RngStream(seed)
-        with rng.block(1):
-            crossed = rng.random_array(100) < 0.9
-            del calls[:]
-            cuts, points, rows, _, _ = _plan_block(n, operator, 0.05, crossed, rng)
-            q = rng._block.q
+        crossed = rng.random_array(100) < 0.9
+        del calls[:]
+        cuts, points, rows, _, _ = _plan_block(n, operator, 0.05, crossed, rng)
         hprm = operator == "HPRM"
         assert calls == [point] * (hprm * 100)
-        assert q == len(cuts) + len(points) + len(rows)
+        assert rng._block.q == len(cuts) + len(points) + len(rows)
         assert len(cuts) == crossed.sum() and len(points) == hprm * 100
 
 
@@ -576,33 +576,12 @@ def test_array_plan_leaves_points_of_32_bits_to_the_scalar_plan(monkeypatch, n):
         array_rng, scalar_rng = RngStream(buffered), RngStream(buffered)
         if buffered:  # leaves the high half-word buffered
             assert array_rng.randint(0, 9) == scalar_rng.randint(0, 9)
-        with array_rng.block(1), scalar_rng.block(1):
-            crossed = array_rng.random_array(5) < 0.5
-            assert np.array_equal(crossed, scalar_rng.random_array(5) < 0.5)
-            array_plan = _plan_block(n, operator, pm, crossed, array_rng)
-            assert_same_plan(array_plan, _plan(n, operator, pm, crossed.tolist(), scalar_rng))
-            assert block_end(array_rng) == block_end(scalar_rng), (operator, pm, buffered)
-        assert array_rng._gen.bit_generator.state == scalar_rng._gen.bit_generator.state
+        crossed = array_rng.random_array(5) < 0.5
+        assert np.array_equal(crossed, scalar_rng.random_array(5) < 0.5)
+        array_plan = _plan_block(n, operator, pm, crossed, array_rng)
+        assert_same_plan(array_plan, _plan(n, operator, pm, crossed.tolist(), scalar_rng))
+        assert stream_end(array_rng) == stream_end(scalar_rng), (operator, pm, buffered)
     assert bool(calls) == (n < 92_682)
-
-
-class _Words:
-    """Bit generator stand-in for _RawBlock: fixed raw words, served in order."""
-
-    def __init__(self, words):
-        self.words = words
-        self.used = 0
-
-    def random_raw(self, k):
-        self.used += k
-        return self.words[self.used - k:self.used].copy()
-
-
-def _on_words(words, buffered, half, stream=RngStream):
-    """A stream drawing from a block of the given raw words, as inside its block()."""
-    rng = stream(0)
-    rng._block = _RawBlock(_Words(words), 1, buffered, half)
-    return rng
 
 
 REJECT_N, REJECT_SIZE = 52, 20
@@ -621,8 +600,9 @@ def _craft_rejection(operator, kind, where, buffered):
     n = REJECT_N
     his = {"cut": n * (n - 1) // 2 - 1, "point": n * (n + 1) // 2 - 1, "partner": n - 1}
     assert (1 << 32) % (his[kind] + 1), "this range never rejects"
-    rng = _on_words(REJECT_WORDS, buffered, REJECT_HALF, LoggedStream)
+    rng = on_words(REJECT_WORDS, buffered, REJECT_HALF, LoggedStream)
     rng.log = []
+    rng._block.hold(1)  # the logged places stay put
     plan = _plan(n, operator, 0.3, REJECT_CROSSED.tolist(), rng)
     firsts = [q for hi, q in rng.log if hi == his[kind]]
     owners = {
@@ -646,11 +626,11 @@ def test_array_plan_resolves_every_rejection(operator, kind, where, buffered):
     # spot; a rejected cut or point in a run of half-words (RSM) or a
     # rejected partner sends the whole generation back to the scalar plan.
     words, half = _craft_rejection(operator, kind, where, buffered)
-    array_rng, scalar_rng = _on_words(words, buffered, half), _on_words(words, buffered, half)
+    array_rng, scalar_rng = on_words(words, buffered, half), on_words(words, buffered, half)
     array_plan = _plan_block(REJECT_N, operator, 0.3, REJECT_CROSSED, array_rng)
     scalar_plan = _plan(REJECT_N, operator, 0.3, REJECT_CROSSED.tolist(), scalar_rng)
     assert_same_plan(array_plan, scalar_plan)
-    assert block_end(array_rng) == block_end(scalar_rng)
+    assert stream_end(array_rng) == stream_end(scalar_rng)
 
 
 @pytest.fixture
@@ -696,7 +676,7 @@ def test_variation_at_5000_cities_through_a_rejection(rejections, operator, seed
     spans = {"cut": n * (n - 1) // 2 - 1, "point": n * (n + 1) // 2 - 1, "partner": n - 1}
     assert spans[kind] in rejections
     assert np.array_equal(children.tours, _variation_one_child_at_a_time(pop, cfg, manual))
-    assert batched._gen.bit_generator.state == manual._gen.bit_generator.state
+    assert stream_end(batched) == stream_end(manual)
 
 
 @pytest.mark.parametrize("operator", ["RSM", "PSM", "HPRM"])
@@ -731,4 +711,4 @@ def test_variation_children_do_not_depend_on_the_tour_dtype(operator, n):
     narrowed = variation(Population(tours.astype(np.int16), lengths), cfg, narrow)
     assert narrowed.tours.dtype == np.int16
     assert np.array_equal(narrowed.tours, children.tours)
-    assert wide._gen.bit_generator.state == narrow._gen.bit_generator.state
+    assert stream_end(wide) == stream_end(narrow)
