@@ -1,8 +1,9 @@
 """Command-line interface: solve, compare and validate subcommands.
 
 main returns the exit code, also after printing --help: 0 success, 1
-file or parse errors, a failed allocation or standard output that cannot
-be written, 2 invalid flags or configuration, 3 invalid tour under validate.
+file or parse errors, a failed allocation, a compare worker process that
+died or standard output that cannot be written, 2 invalid flags or
+configuration, 3 invalid tour under validate.
 Diagnostics go to standard error; standard output stays parseable.
 """
 
@@ -13,7 +14,6 @@ import contextlib
 import functools
 import json
 import os
-import secrets
 import sys
 from pathlib import Path
 
@@ -164,7 +164,7 @@ def _ga_config(args, **fields) -> GaConfig:
 
 def _resolve_seed(seed) -> int:
     if seed is None:
-        return secrets.randbits(64)
+        return int.from_bytes(os.urandom(8), "little")
     if not 0 <= seed < 2**64:
         raise _Failure(2, "seed must be an unsigned 64-bit integer")
     return seed
@@ -229,7 +229,14 @@ def cmd_compare(args) -> int:
         raise _Failure(2, str(e)) from None
     print(f"root_seed {seed}", flush=True)
     with _writing(ecfg.output_dir):  # both files are checked before any cell runs
-        report = run_comparison(ecfg, inst)
+        try:
+            report = run_comparison(ecfg, inst)
+        except RuntimeError as e:
+            from concurrent.futures import BrokenExecutor  # imported already by the pool that broke
+
+            if not isinstance(e, BrokenExecutor):
+                raise
+            raise _Failure(1, f"a worker process died: {e}") from None
     print(format_summary_table(report))
     out = Path(ecfg.output_dir)
     print(f"wrote {out / CONVERGENCE_CSV} and {out / REPORT_JSON}", file=sys.stderr)

@@ -4,15 +4,27 @@ The harness generates `runs` initial populations once, then evolves every
 operator arm from a fresh copy of each, giving run k of every arm the same
 evolution stream. Arms therefore differ only in the mutation operator, which
 makes the comparison paired rather than merely same-budget.
+
+A comparison with more than one worker runs its cells in the process's one
+pool of worker processes. The pool starts with the first such comparison and
+serves every later one with the same worker count; a comparison with another
+count shuts it down, its workers ended, before a new pool forks. A comparison
+that fails in the pool, a worker that died included, shuts the pool down too,
+and the next starts a fresh one. Otherwise the workers live until the process
+exits; a child forked from it starts a pool of its own. Each worker runs the
+package code as it stood when the pool forked it. Each worker keeps to its
+own share of the CPUs the process may use, so no two idle workers are woken
+onto one CPU while another stays idle; a worker that cannot keep to its
+share runs wherever the system puts it.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import json
 import os
 import stat
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -229,6 +241,67 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The process's worker pool as (executor class, worker count, executor), or None.
+_pool = None
+
+
+def _close_pool() -> None:
+    """Shut the worker pool down, its workers and threads ended, and forget it."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[2], None
+        pool.shutdown()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child: it has a copy of the executor but none of its threads."""
+    global _pool
+    _pool = None
+
+
+# Shut the pool down at exit while concurrent.futures is whole: a pool left to
+# the interpreter's module clean-up may outlive it and print an ignored exception.
+atexit.register(_close_pool)
+if hasattr(os, "register_at_fork"):  # where there is no fork, no child inherits the pool
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _keep_to_share(shares, started) -> None:
+    """Pool initializer: the k-th worker to start keeps to shares[k]."""
+    with started.get_lock():
+        k = started.value
+        started.value += 1
+    with contextlib.suppress(OSError):  # a share it may not use: the worker runs unpinned
+        os.sched_setaffinity(0, shares[k])
+
+
+def _pinned(workers: int) -> dict:
+    """Pool arguments that keep the k-th worker to usable CPUs k, k + workers and so on.
+
+    Workers sleep between comparisons, and the system may wake both of two
+    onto one CPU and leave them there for hundreds of cells while the
+    other CPU idles, halving a comparison's speed; a fresh fork is spread.
+    """
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")):
+        return {}
+    import multiprocessing
+
+    cpus = sorted(os.sched_getaffinity(0))
+    return {"initializer": _keep_to_share,
+            "initargs": ([cpus[k::workers] for k in range(workers)], multiprocessing.Value("i", 0))}
+
+
+def _worker_pool(workers: int):
+    """The process's pool of workers, started or replaced to hold that many."""
+    global _pool
+    from concurrent.futures import ProcessPoolExecutor  # imported by the first pool, not by import tspga
+
+    if _pool is None or _pool[:2] != (ProcessPoolExecutor, workers):
+        _close_pool()  # no executor thread is left to be copied into the new pool's forks
+        _pool = (ProcessPoolExecutor, workers, ProcessPoolExecutor(max_workers=workers, **_pinned(workers)))
+    return _pool[2]
+
+
 def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> ComparisonReport:
     """Run every operator arm over the shared initial populations.
 
@@ -252,10 +325,15 @@ def run_comparison(cfg: ExperimentConfig, inst: Instance | None = None) -> Compa
         # A pool starts all its workers at once, so it starts only when more than
         # one would run: never more than there are cells, nor CPUs to run them.
         workers = min(cfg.jobs, len(cells), _usable_cpus())
-        with contextlib.ExitStack() as stack:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers)) if workers > 1 else None
-            args = (repeat(cfg), operators, runs, repeat(dm), [inits[run] for run in runs])
-            results = dict(zip(cells, pool.map(run_cell, *args) if pool else map(run_cell, *args)))
+        args = (repeat(cfg), operators, runs, repeat(dm), [inits[run] for run in runs])
+        if workers > 1:
+            try:
+                results = dict(zip(cells, _worker_pool(workers).map(run_cell, *args)))
+            except BaseException:  # a pool left mid-map, by a dead worker or an interrupt, is not reused
+                _close_pool()
+                raise
+        else:
+            results = dict(zip(cells, map(run_cell, *args)))
 
         summaries = []
         for operator in cfg.operators:

@@ -2,8 +2,10 @@
 
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -768,6 +770,34 @@ def test_compare_in_a_closed_directory_fails_before_any_cell_runs(tmp_path, monk
     assert main(["compare", BERLIN, "--runs", "3", "--seed", "1", "--out", str(out)]) == 1
     assert capsys.readouterr() == ("root_seed 1\n", f"tspga: cannot write {out}: Permission denied\n")
     assert list(out.iterdir()) == []
+
+
+def test_a_worker_that_dies_is_exit_1_in_one_line_and_the_next_compare_runs(tmp_path, monkeypatch, capsys):
+    # The first call leaves its pool of two workers running; one of them is
+    # killed. The next call fails in one line, and the one after that starts
+    # a fresh pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["compare", BERLIN, "--runs", "2", "--pop", "6", "--generations", "3",
+            "--seed", "1", "--jobs", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    dead = multiprocessing.active_children()[0]
+    os.kill(dead.pid, signal.SIGKILL)
+    dead.join(timeout=60)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "root_seed 1\n"
+    assert err.startswith("tspga: a worker process died: ") and err.count("\n") == 1, err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table
+
+
+def test_import_loads_no_process_pool_and_no_secrets():
+    # concurrent.futures loads when the first pool starts; the default seed
+    # comes from os.urandom.
+    code = "import sys, tspga.cli; print(*(m for m in ('concurrent.futures', 'secrets') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def test_compare_default_output_dir(tmp_path):

@@ -1,8 +1,14 @@
 """The paired comparison harness: pairing, statistics, emitted files."""
 
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from tspga import (
 )
 from tspga.experiment import _EVOLVE_STREAM, _INIT_STREAM
 from tspga import derive_stream, init_population, evaluate, build_distance_matrix, load_instance
+from conftest import cli_env
 
 
 def _config(tmp_path, **kwargs):
@@ -320,19 +327,17 @@ def inline_pool(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **pinning):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.shut = False
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(tspga.experiment, "ProcessPoolExecutor", InlinePool)
+        def shutdown(self):
+            self.shut = True
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 
@@ -380,6 +385,163 @@ def test_a_pool_of_one_worker_is_never_started(tmp_path, monkeypatch, inline_poo
     for name in ("convergence.csv", "report.json"):
         assert (tmp_path / "seq" / "out" / name).read_bytes() == \
                (tmp_path / "jobs" / "out" / name).read_bytes()
+
+
+def _outputs(out_dir):
+    return [(out_dir / "out" / name).read_bytes() for name in ("convergence.csv", "report.json")]
+
+
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_consecutive_parallel_comparisons_share_one_pool(tmp_path, monkeypatch):
+    # The pool outlives a comparison: the next one with as many workers runs
+    # on the same processes, and each still writes the bytes of jobs=1.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    configs = [dict(ga=GaConfig(population_size=10, max_generations=8)),
+               dict(ga=GaConfig(population_size=12, max_generations=6), root_seed=5, operators=("psm", "hprm"))]
+    pids = []
+    for k, kwargs in enumerate(configs):
+        run_comparison(_config(tmp_path / f"seq{k}", **kwargs))
+        run_comparison(_config(tmp_path / f"par{k}", jobs=2, **kwargs))
+        pids.append(_worker_pids())
+        assert _outputs(tmp_path / f"par{k}") == _outputs(tmp_path / f"seq{k}")
+    assert len(pids[0]) == 2 and pids[0] == pids[1]
+
+
+def test_another_worker_count_replaces_the_pool(tmp_path, monkeypatch):
+    # The old pool is shut down before the new one forks: its workers exit.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path / "seq", ga=ga))
+    run_comparison(_config(tmp_path / "two", ga=ga, jobs=2))
+    two = _worker_pids()
+    run_comparison(_config(tmp_path / "three", ga=ga, jobs=3))
+    three = _worker_pids()
+    assert len(two) == 2 and len(three) == 3 and not two & three
+    assert not any(_alive(pid) for pid in two)
+    assert _outputs(tmp_path / "two") == _outputs(tmp_path / "seq") == _outputs(tmp_path / "three")
+
+
+def test_a_dead_worker_fails_one_comparison_and_the_next_starts_a_fresh_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path / "seq", ga=ga))
+    run_comparison(_config(tmp_path / "par", ga=ga, jobs=2))
+    before = _outputs(tmp_path / "par")
+    dead = multiprocessing.active_children()[0]
+    os.kill(dead.pid, signal.SIGKILL)
+    dead.join(timeout=60)
+    with pytest.raises(BrokenProcessPool):
+        run_comparison(_config(tmp_path / "par", ga=ga, jobs=2, root_seed=100))
+    assert _outputs(tmp_path / "par") == before
+    old = {dead.pid} | _worker_pids()
+    run_comparison(_config(tmp_path / "again", ga=ga, jobs=2))
+    assert len(_worker_pids()) == 2 and not _worker_pids() & old
+    assert _outputs(tmp_path / "again") == _outputs(tmp_path / "seq")
+
+
+_pinning = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+
+
+@_pinning
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two usable CPUs")
+def test_each_worker_keeps_to_its_own_share_of_the_cpus(tmp_path):
+    # Idle workers woken onto one CPU may stay there while the other idles;
+    # worker k keeps to every second usable CPU from the k-th.
+    tspga.experiment._close_pool()  # a pool left by another test may hold shares of a stand-in CPU set
+    cpus = sorted(os.sched_getaffinity(0))
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path / "seq", ga=ga))
+    run_comparison(_config(tmp_path / "par", ga=ga, jobs=2))
+    shares = sorted((os.sched_getaffinity(pid) for pid in _worker_pids()), key=min)
+    assert shares == [set(cpus[0::2]), set(cpus[1::2])]
+    assert os.sched_getaffinity(0) == set(cpus)
+    assert _outputs(tmp_path / "par") == _outputs(tmp_path / "seq")
+
+
+@_pinning
+def test_a_worker_that_cannot_keep_to_its_share_runs_unpinned(tmp_path, monkeypatch):
+    tspga.experiment._close_pool()
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(cpus), 10**6} if pid == 0 else cpus, raising=False)
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path / "seq", ga=ga))
+    run_comparison(_config(tmp_path / "par", ga=ga, jobs=2))
+    monkeypatch.undo()
+    shares = sorted((os.sched_getaffinity(pid) for pid in _worker_pids()), key=len)
+    assert shares == [{min(cpus)}, cpus]  # no CPU 10**6: that worker runs where the system puts it
+    assert _outputs(tmp_path / "par") == _outputs(tmp_path / "seq")
+    tspga.experiment._close_pool()  # its unpinned worker serves no later test
+
+
+def test_a_stand_in_pool_never_serves_a_later_comparison(tmp_path, monkeypatch, inline_pool):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ga = GaConfig(population_size=10, max_generations=8)
+    run_comparison(_config(tmp_path / "stand-in", ga=ga, jobs=2))
+    stand_in = tspga.experiment._pool[2]
+    monkeypatch.undo()  # the real executor class is back
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    run_comparison(_config(tmp_path / "real", ga=ga, jobs=2))
+    assert inline_pool == [2] and stand_in.shut
+    assert len(_worker_pids()) == 2
+    assert _outputs(tmp_path / "real") == _outputs(tmp_path / "stand-in")
+
+
+def test_no_worker_outlives_its_process(tmp_path):
+    # Two parallel comparisons in a child process that, as a test runner
+    # does, keeps tspga.experiment alive until the interpreter's last
+    # clean-up. Once it has exited, none of its workers is left running, and
+    # it printed nothing on the way out.
+    script = f"""
+import multiprocessing, os
+import tspga.experiment
+from tspga import ExperimentConfig, GaConfig, run_comparison
+os.sched_getaffinity = lambda pid: {{0, 1}}
+for seed in (1, 2):
+    run_comparison(ExperimentConfig(ga=GaConfig(population_size=8, max_generations=4), operators=("rsm", "psm"),
+                                    instance_path={str(tspga.data.BERLIN52_TSP)!r}, output_dir={str(tmp_path)!r},
+                                    root_seed=seed, runs=2, jobs=2))
+print(*(p.pid for p in multiprocessing.active_children()))
+cycle = [tspga.experiment]
+cycle.append(cycle)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    assert not any(_alive(pid) for pid in pids)
+
+
+def test_a_forked_child_starts_a_pool_of_its_own(tmp_path):
+    # The child has a copy of the parent's executor but not its threads: a
+    # comparison there on the parent's pool would wait forever.
+    script = f"""
+import os, signal, sys
+from tspga import ExperimentConfig, GaConfig, run_comparison
+os.sched_getaffinity = lambda pid: {{0, 1}}
+cfg = ExperimentConfig(ga=GaConfig(population_size=8, max_generations=4), operators=("rsm", "psm"),
+                       instance_path={str(tspga.data.BERLIN52_TSP)!r}, output_dir={str(tmp_path)!r},
+                       root_seed=1, runs=2, jobs=2)
+run_comparison(cfg)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a child that waits on its parent's pool ends here
+    run_comparison(cfg)
+    sys.exit(0)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=cli_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_cells_do_not_score_their_initial_populations_again(tmp_path, monkeypatch):
